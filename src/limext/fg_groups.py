@@ -8,12 +8,13 @@ normalized fields and no isomorphism testing is ever needed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import DimensionError, DomainError
 from .matrices import IntMatrix, smith_normal_form
-from .numutil import prime_factors
+from .numutil import is_prime, prime_to_p_part, vp
 
 
 @dataclass(frozen=True)
@@ -57,29 +58,32 @@ class GroupStructure:
         """Normalize arbitrary cyclic orders into the invariant-factor chain.
 
         Zero factors count toward the free rank; order-1 factors vanish.
+        Nothing is factored: the orders are split over a pairwise coprime
+        base (see :func:`_coprime_base`), and the i-th largest exponent at
+        each base element multiplies into the i-th largest invariant
+        factor.  Every prime divides exactly one base element b, and its
+        valuation in each order is a fixed multiple of the exponent at b,
+        so this is the primewise merge without the primes.
         """
-        exponents: dict[int, list[int]] = {}
-        rank = free_rank
-        for d in factors:
-            d = abs(int(d))
-            if d == 0:
-                rank += 1
-                continue
-            if d == 1:
-                continue
-            for p, e in prime_factors(d).items():
-                exponents.setdefault(p, []).append(e)
-        depth = max((len(v) for v in exponents.values()), default=0)
-        chain = []
-        for i in range(depth):
-            # i-th largest exponent of each prime multiplies into the i-th
-            # largest invariant factor.
-            f = 1
-            for p, es in exponents.items():
-                es_sorted = sorted(es, reverse=True)
-                if i < len(es_sorted):
-                    f *= p ** es_sorted[i]
-            chain.append(f)
+        counts = Counter(abs(int(d)) for d in factors)
+        rank = free_rank + counts.pop(0, 0)
+        counts.pop(1, None)
+        exponents: dict[int, list[int]] = {b: [] for b in _coprime_base(counts)}
+        for d, count in counts.items():
+            for b, es in exponents.items():
+                if d == 1:
+                    break
+                e = 0
+                while d % b == 0:
+                    d //= b
+                    e += 1
+                if e:
+                    es += [e] * count
+        chain = [1] * max(map(len, exponents.values()), default=0)
+        for b, es in exponents.items():
+            es.sort(reverse=True)
+            for i, e in enumerate(es):
+                chain[i] *= b ** e
         chain.reverse()
         return cls(free_rank=rank, invariant_factors=tuple(chain))
 
@@ -99,18 +103,21 @@ class GroupStructure:
         return GroupStructure(0, self.invariant_factors)
 
     def is_p_group(self, p: int) -> bool:
-        return self.free_rank == 0 and all(
-            set(prime_factors(d)) <= {p} for d in self.invariant_factors
-        )
+        """Whether the group is finite of p-power order (only the trivial
+        group when p is not prime)."""
+        if self.free_rank:
+            return False
+        if not is_prime(p):
+            return not self.invariant_factors
+        return all(prime_to_p_part(d, p) == 1 for d in self.invariant_factors)
 
     def p_exponents(self, p: int) -> tuple[int, ...]:
-        """Exponent partition of the p-primary part, sorted descending."""
-        out = []
-        for d in self.invariant_factors:
-            e = prime_factors(d).get(p, 0)
-            if e:
-                out.append(e)
-        return tuple(sorted(out, reverse=True))
+        """Exponent partition of the p-primary part, sorted descending
+        (empty when p is not prime)."""
+        if not is_prime(p):
+            return ()
+        exps = (vp(d, p) for d in self.invariant_factors)
+        return tuple(sorted((e for e in exps if e), reverse=True))
 
     def __str__(self):
         parts = []
@@ -136,6 +143,43 @@ class GroupStructure:
 
 
 TRIVIAL_GROUP = GroupStructure()
+
+
+def _coprime_base(orders) -> list[int]:
+    """Pairwise coprime integers >= 2 of which every order is a product of
+    powers, found with gcds alone.
+
+    Two elements x, b sharing g = gcd(x, b) > 1 are replaced by g and
+    what is left of x and of b once every factor g is divided out, dropping
+    1s (the refinement step of Bernstein, "Factoring into coprimes in
+    essentially linear time", J. Algorithms 2005; dividing out every factor
+    g at once splits p**k against p in one step).  Each step divides the
+    product of all elements by at least g, so the loop ends.
+
+    >>> sorted(_coprime_base([12, 18]))
+    [2, 3]
+    >>> sorted(_coprime_base([6, 35]))
+    [6, 35]
+    """
+    base: list[int] = []
+    pending = [d for d in orders if d > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                base[i] = base[-1]
+                base.pop()
+                pending.append(g)
+                for y in (x, b):
+                    while y % g == 0:
+                        y //= g
+                    if y > 1:
+                        pending.append(y)
+                break
+        else:
+            base.append(x)
+    return base
 
 
 @dataclass(frozen=True)

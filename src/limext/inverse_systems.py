@@ -128,6 +128,9 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
             )
         structures.append(cokernel_structure(m))
         orders.append(abs(det))
+    # A diagonal cokernel has the prime support of its entries, so each
+    # distinct tail entry is factored, never their product.
+    to_factor = set(orders)
     for vec in spec.tail_diagonals:
         if len(vec) != r:
             raise InvalidSystemError(
@@ -135,10 +138,11 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
             )
         if any(d == 0 for d in vec):
             raise InvalidSystemError("tail diagonal entries must be nonzero")
-        structures.append(GroupStructure.from_factors([abs(d) for d in vec]))
+        structures.append(GroupStructure.from_factors(vec))
         orders.append(prod(abs(d) for d in vec))
+        to_factor.update(abs(d) for d in vec)
     support = set()
-    for n in orders:
+    for n in to_factor:
         if n > 1:
             support |= set(prime_factors(n))
     return ValidatedSystem(
@@ -302,12 +306,10 @@ def _classify_rank_one(multipliers) -> Lim1Class:
 
 
 def _classify_recursive(cols) -> Lim1Class:
-    first = _classify_rank_one(cols[-1])
-    if len(cols) == 1:
-        return first
-    # Diagonal tail: the sequence of the subsystem, the whole system, and
-    # the rank-1 quotient splits, so the parameters add.
-    return _classify_recursive(cols[:-1]) + first
+    # Diagonal tail: the sequence of the rank-(j-1) subsystem, the rank-j
+    # subsystem, and the rank-1 quotient splits, so the parameters add one
+    # coordinate at a time.
+    return sum(map(_classify_rank_one, cols), ZERO_LIM1)
 
 
 def _classify_ext_oracle(spec: InverseSystemSpec) -> Lim1Class:

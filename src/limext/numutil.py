@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .errors import NotPrimeError, UnsupportedInputError
+
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -14,6 +16,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < 37 * 37:
+        # A composite this small has a prime factor below 37.
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -33,8 +38,6 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int, what: str = "modulus") -> int:
-    from .errors import NotPrimeError
-
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrimeError(f"{what} must be a prime number, got {p!r}")
     return p
@@ -47,9 +50,10 @@ def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
     Trial division up to about a million, then a primality test on the
-    remainder.  Fine at desk scale (cokernel orders, cyclic moduli) and for
-    large prime or near-prime inputs; a remainder with two huge prime
-    factors is rejected rather than ground at.
+    remainder.  Fine at desk scale and for large prime or near-prime
+    inputs; a remainder with two huge prime factors is rejected rather than
+    ground at.  Call it only where primes are the answer: normalising cyclic
+    orders needs none (see ``GroupStructure.from_factors``).
     """
     n = abs(n)
     if n == 0:
@@ -71,8 +75,6 @@ def prime_factors(n: int) -> dict[int, int]:
             # Perfect powers of a large prime still factor cheaply.
             root, exp = _perfect_prime_power(n)
             if root is None:
-                from .errors import UnsupportedInputError
-
                 raise UnsupportedInputError(
                     f"factorization beyond desk scale: remaining factor {n}"
                 )

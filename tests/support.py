@@ -264,3 +264,30 @@ def naive_gcd_list(xs) -> int:
     for x in xs:
         g = gcd(g, x)
     return g
+
+
+def primewise_invariant_factors(orders) -> tuple[int, ...]:
+    """Invariant factors of the sum of Z/n over the nonzero orders: factor
+    each by trial division, then put the i-th largest exponent of every
+    prime into the i-th largest factor."""
+    exponents: dict[int, list[int]] = {}
+    for n in orders:
+        n = abs(n)
+        p = 2
+        while p * p <= n:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+        if n > 1:
+            exponents.setdefault(n, []).append(1)
+    chain: list[int] = []
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            if i == len(chain):
+                chain.append(1)
+            chain[i] *= p ** e
+    return tuple(reversed(chain))

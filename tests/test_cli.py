@@ -124,6 +124,20 @@ def test_group_ops(capsys):
     assert data["torsion"]["invariant_factors"] == ["2"]
 
 
+def test_group_ops_accept_large_semiprime_orders(capsys):
+    # Two 40-bit prime cofactors: beyond trial division, but no primes are needed.
+    p, q = (1 << 40) + 15, (1 << 40) + 27
+    code, data = run_json(capsys, "group", json.dumps({
+        "op": "direct-sum",
+        "groups": [
+            {"invariant_factors": [str(p * q)]},
+            {"free_rank": "1", "invariant_factors": [str(2 * p)]},
+        ],
+    }))
+    assert code == 0
+    assert data["result"] == {"free_rank": "1", "invariant_factors": [str(p), str(2 * p * q)]}
+
+
 def test_descriptor_ops(capsys):
     qz = {"pruefer": {"default": 1, "exceptions": {}}}
     code, data = run_json(capsys, "descriptor", json.dumps({

@@ -10,9 +10,11 @@ from limext import (
     GroupPresentation,
     GroupStructure,
     IntMatrix,
+    cokernel_structure,
     direct_sum,
     finite_coefficients,
 )
+from support import primewise_invariant_factors
 
 factor_lists = st.lists(st.integers(min_value=0, max_value=64), max_size=5)
 
@@ -30,6 +32,25 @@ def test_normalization_merges_coprime_factors():
     assert GroupStructure.from_factors([2, 4]).invariant_factors == (2, 4)
     assert GroupStructure.from_factors([12, 60]).invariant_factors == (12, 60)
     assert GroupStructure.from_factors([4, 6]).invariant_factors == (2, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(min_value=1, max_value=10 ** 6)),
+                max_size=6))
+def test_normalization_matches_primewise_merge(orders):
+    g = GroupStructure.from_factors(orders)
+    assert g.free_rank == orders.count(0)
+    assert g.invariant_factors == primewise_invariant_factors(d for d in orders if d)
+
+
+def test_normalization_of_large_semiprimes_matches_cokernel():
+    # Neither order can be factored by trial division; the chain needs none.
+    p, q = (1 << 40) + 15, (1 << 40) + 27
+    for orders in ([p * q, 6], [p * q, p * 3], [p * q, q * q, 0]):
+        assert GroupStructure.from_factors(orders) == cokernel_structure(
+            IntMatrix.diagonal(orders)
+        )
+    assert GroupStructure.from_factors([p * q, p * 3]).invariant_factors == (p, 3 * p * q)
 
 
 def test_normalization_drops_units_and_counts_zeros():
@@ -177,3 +198,10 @@ def test_p_exponents():
     assert g.p_exponents(2) == (2, 2)
     assert g.p_exponents(3) == (2, 1)
     assert g.p_exponents(5) == ()
+    assert g.p_exponents(4) == g.p_exponents(1) == ()
+    assert GroupStructure.from_factors([8, 4]).is_p_group(2)
+    assert not GroupStructure.from_factors([8, 4]).is_p_group(4)
+    assert not g.is_p_group(2) and GroupStructure().is_p_group(4)
+    # A factor with two 40-bit prime cofactors is answered without factoring.
+    big = GroupStructure.from_factors([((1 << 40) + 15) * ((1 << 40) + 27) * 8])
+    assert big.p_exponents(2) == (3,) and not big.is_p_group(2)

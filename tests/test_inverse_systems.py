@@ -110,6 +110,18 @@ def test_strategies_agree_on_examples():
         lim1_classify(diag_system([5]), "guess")
 
 
+def test_strategies_agree_at_high_rank():
+    # Deeper than the default recursion limit: the coordinates are folded, not recursed.
+    rng = random.Random(2000)
+    vec = [rng.choice((1, -1, 2, 3, 5, 6, 7, 10, 35)) for _ in range(2000)]
+    spec = diag_system(vec)
+    c = lim1_classify(spec, "recursive")
+    assert c == lim1_classify(spec, "ext_oracle")
+    nonunit = [d for d in vec if abs(d) > 1]
+    assert c.multiplicity(11) == len(nonunit)
+    assert c.multiplicity(5) == sum(d % 5 != 0 for d in nonunit)
+
+
 def test_oracle_equivalence_randomized():
     # Seeded run; the acceptance suite does 500+, this is the quick version.
     rng = random.Random(20260808)
