@@ -14,18 +14,17 @@ exact sequence, computed by :func:`six_term_mult_p`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .descriptors import (
     CONTINUUM,
     GroupDescriptor,
     PrimeMultiplicity,
-    ZERO_CARDINAL,
     ZERO_DESCRIPTOR,
 )
 from .errors import ContinuumError, DomainError, ModuleHypothesisError
-from .fg_groups import GroupStructure
-from .numutil import prime_factors, prime_to_p_part, require_prime, vp
+from .fg_groups import GroupStructure, direct_sum, finite_coefficients
+from .numutil import prime_factors, prime_to_p_part, require_prime
 
 
 def tate_module(g: GroupDescriptor, p: int) -> GroupDescriptor:
@@ -81,10 +80,10 @@ def finite_coefficients_descriptor(
     """The pair (G / p^j G, p^j-torsion of G) as finite groups.
 
     Blocks where p is not invertible and which are p-adically separated
-    (Z, Z_(p), Z[S^-1] with p outside S, and abstract Z_p) contribute Z/p^j
-    to the quotient; divisible blocks contribute nothing to the quotient; the
-    Pruefer group at p contributes Z/p^j torsion; a cyclic block Z/m
-    contributes Z/p^min(j, v_p(m)) to both sides.
+    (Z, Z_(p), Z[S^-1] with p outside S, and abstract Z_p) count as Z and,
+    with the cyclic blocks, go through :func:`finite_coefficients`;
+    divisible blocks contribute nothing to the quotient; the Pruefer group at
+    p contributes Z/p^j torsion.
 
     Rejects continuum multiplicity exactly where it would make the result
     not finitely describable: continuum-many Pruefer copies at p.  A Q block
@@ -97,27 +96,18 @@ def finite_coefficients_descriptor(
     require_prime(p)
     if j < 1:
         raise DomainError("torsion exponent must be >= 1")
-    if g.pruefer.at(p).is_continuum:
+    pruefer_p = g.pruefer.at(p)
+    if pruefer_p.is_continuum:
         raise ContinuumError(
             "continuum-many Pruefer copies at p have torsion that is not "
             "finitely describable",
         )
+    separated = g.free_rank + g.local_count(p) + g.padic_count(p)
+    separated += sum(c for s, c in g.inverted if p not in s)
     pj = p ** j
-    quotient: list[int] = []
-    torsion: list[int] = []
-    quotient += [pj] * g.free_rank
-    quotient += [pj] * g.local_count(p)
-    quotient += [pj] * g.padic_count(p)
-    for s, c in g.inverted:
-        if p not in s:
-            quotient += [pj] * c
-    for m in g.cyclic:
-        d = p ** min(j, vp(m, p))
-        quotient.append(d)
-        torsion.append(d)
-    pruefer_at_p = g.pruefer.at(p).value
-    torsion += [pj] * pruefer_at_p
-    return GroupStructure.from_factors(quotient), GroupStructure.from_factors(torsion)
+    quotient, torsion = finite_coefficients(GroupStructure(separated, g.cyclic), pj)
+    pruefer_torsion = GroupStructure.from_factors([pj] * pruefer_p.value)
+    return quotient, direct_sum(torsion, pruefer_torsion)
 
 
 def lim1_mult_p(g: GroupDescriptor, p: int) -> GroupDescriptor:
@@ -164,9 +154,11 @@ class SixTermSequence:
     0 -> tate -> lim -> lim_power_images
       -> lim1_torsion -> lim1 -> lim1_power_images -> 0
 
-    ``consistency_issues`` records any violated table identity; the verdict
-    is computed by re-deriving terms through the standalone functors, which
-    use independent code paths.
+    The terms come from the standalone functors (see :func:`six_term_mult_p`),
+    so ``consistency_issues`` is always empty and ``consistent`` always true;
+    both stay in the record and its JSON form.  They check nothing at
+    runtime: the evidence for the block rules is the test suite's frozen
+    appendix, its truncated towers, and the Ext cross-check of ``lim1``.
     """
 
     prime: int
@@ -176,7 +168,7 @@ class SixTermSequence:
     lim1_torsion: GroupDescriptor
     lim1: GroupDescriptor
     lim1_power_images: GroupDescriptor
-    consistency_issues: tuple[str, ...]
+    consistency_issues: tuple[str, ...] = ()
 
     @property
     def consistent(self) -> bool:
@@ -208,12 +200,13 @@ class SixTermSequence:
 def six_term_mult_p(g: GroupDescriptor, p: int) -> SixTermSequence:
     """All six terms of the derived-limit sequence for (G, times p).
 
-    Terms are computed from a self-contained block table here, then checked
-    against the standalone functors: term 1 must be the Tate module, term 3
-    the maximal p-divisible subgroup (for the representable blocks the
-    intersection of p-power images is already divisible), term 4 vanishes on
-    every representable block, and terms 5 and 6 agree with each other and
-    with :func:`lim1_mult_p`.
+    Each term is built from the standalone functor that owns its block rule:
+    term 1 is the Tate module, term 3 the maximal p-divisible subgroup (for
+    the representable blocks the intersection of p-power images is already
+    divisible), term 2 is term 3 with Pruefer at p replaced by its universal
+    cover, term 4 vanishes on every representable block, and terms 5 and 6
+    are both :func:`lim1_mult_p`.  The record is therefore consistent by
+    construction; the evidence for the rules is in the test suite.
 
     >>> seq = six_term_mult_p(GroupDescriptor.free(), 2)
     >>> seq.consistent and seq.lim.is_zero()
@@ -222,92 +215,39 @@ def six_term_mult_p(g: GroupDescriptor, p: int) -> SixTermSequence:
     Q^continuum
     """
     require_prime(p)
-
-    # Term 1: limit of the p-power torsion tower.
     pruefer_p = g.pruefer.at(p)
     if pruefer_p.is_continuum:
         raise ContinuumError(
             "six-term sequence undefined: Tate module of continuum-many "
             "Pruefer copies is not expressible in the block language",
         )
-    term1 = GroupDescriptor.build(padic={p: pruefer_p.value})
-
-    # Term 2: limit of (G, p) itself.  Blocks on which p is invertible pass
-    # through whole; a finite block contributes its prime-to-p part (the
-    # stable image); Pruefer at p contributes its universal cover, a Q-vector
-    # space of continuum dimension; p-separated torsion-free blocks vanish.
-    term2 = GroupDescriptor.build(
-        cyclic=[prime_to_p_part(m, p) for m in g.cyclic],
-        local={q: c for q, c in g.local if q != p},
-        inverted=[(s, c) for s, c in g.inverted if p in s],
-        rational=g.rational + (CONTINUUM if not pruefer_p.is_zero else ZERO_CARDINAL),
-        pruefer=PrimeMultiplicity.build(
-            g.pruefer.default, dict(g.pruefer.exceptions) | {p: 0}
-        ),
-        padic={q: c for q, c in g.padic if q != p},
-    )
-
-    # Term 3: limit of the power images p^j G under inclusions, i.e. the
-    # intersection of the p^j G.  For every representable block this equals
-    # the maximal p-divisible subgroup; note Pruefer at p survives here.
-    term3 = GroupDescriptor.build(
-        cyclic=[prime_to_p_part(m, p) for m in g.cyclic],
-        local={q: c for q, c in g.local if q != p},
-        inverted=[(s, c) for s, c in g.inverted if p in s],
-        rational=g.rational,
-        pruefer=g.pruefer,
-        padic={q: c for q, c in g.padic if q != p},
-    )
-
-    # Term 4: derived limit of the torsion towers.  The towers are finite
-    # (hence Mittag-Leffler) for cyclic blocks and for Pruefer at p, and
-    # empty for everything else.
-    term4 = ZERO_DESCRIPTOR
-
-    # Terms 5 and 6: p^j G with inclusions is isomorphic, as a pro-system,
-    # to (G, p) itself in every representable block, so both derived limits
-    # agree.
-    term5 = _six_term_lim1(g, p)
-    term6 = term5
-
-    issues = []
-    if term1 != tate_module(g, p):
-        issues.append("term 1 != Tate module")
-    if term3 != max_p_divisible(g, p):
-        issues.append("term 3 != maximal p-divisible subgroup")
-    if not term4.is_zero():
-        issues.append("term 4 nonzero on representable blocks")
-    if term5 != lim1_mult_p(g, p):
-        issues.append("term 5 != derived limit of (G, p)")
-    if term6 != term5:
-        issues.append("terms 5 and 6 disagree")
+    # Term 3, the intersection of the p^j G, keeps Pruefer at p.  Term 2, the
+    # limit of (G, p), replaces it by its universal cover, a Q-vector space
+    # of continuum dimension; every other block agrees with term 3.
+    power_images = max_p_divisible(g, p)
+    lim = power_images
+    if not pruefer_p.is_zero:
+        lim = replace(
+            lim,
+            rational=CONTINUUM,
+            pruefer=PrimeMultiplicity.build(
+                g.pruefer.default, dict(g.pruefer.exceptions) | {p: 0}
+            ),
+        )
+    # Term 4: the torsion towers are finite (hence Mittag-Leffler) for cyclic
+    # blocks and for Pruefer at p, and empty for everything else.  Terms 5
+    # and 6: p^j G with inclusions is isomorphic, as a pro-system, to (G, p)
+    # itself in every representable block, so both derived limits agree.
+    lim1 = lim1_mult_p(g, p)
     return SixTermSequence(
         prime=p,
-        tate=term1,
-        lim=term2,
-        lim_power_images=term3,
-        lim1_torsion=term4,
-        lim1=term5,
-        lim1_power_images=term6,
-        consistency_issues=tuple(issues),
+        tate=tate_module(g, p),
+        lim=lim,
+        lim_power_images=power_images,
+        lim1_torsion=ZERO_DESCRIPTOR,
+        lim1=lim1,
+        lim1_power_images=lim1,
     )
-
-
-def _six_term_lim1(g: GroupDescriptor, p: int) -> GroupDescriptor:
-    # Independent tabulation of the derived limit used inside the six-term
-    # record, kept separate from lim1_mult_p so the verdict has teeth.
-    rational = ZERO_CARDINAL
-    mult = PrimeMultiplicity.build(0)
-    if g.free_rank:
-        rational = CONTINUUM
-        mult = mult + PrimeMultiplicity.build(g.free_rank, {p: 0})
-    if g.local_count(p):
-        rational = CONTINUUM
-    for s, c in g.inverted:
-        if p not in s:
-            rational = CONTINUUM
-            mult = mult + PrimeMultiplicity.build(c, {q: 0 for q in s + (p,)})
-    return GroupDescriptor.build(rational=rational, pruefer=mult)
 
 
 def completion_cokernel(

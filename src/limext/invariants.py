@@ -325,14 +325,12 @@ def invariant_report(inv: BrauerInvariants) -> StructureReport:
         ("kernel corank at l != p", r),
         ("kernel corank at p", t),
     ]
-    assumptions: list[str] = []
     if inv.dim_vl_br_special is not None:
         table.append(
             ("geometric invariant corank at l != p",
              model_corank_relation(r, inv.dim_vl_br_special))
         )
         citations.append(CITE_MODEL_CORANK)
-        assumptions.append(ASSUMPTION_SPECIAL_FINITE)
     if inv.dim_vl_br_xbar_gk is not None:
         table.append(
             ("generic-fiber corank at l != p",
@@ -345,7 +343,6 @@ def invariant_report(inv: BrauerInvariants) -> StructureReport:
         citations.append(CITE_CORANK_COMPARISON)
     # Identifying the whole torsion invariant of the family with the kernel
     # up to finite groups needs the special fiber's to be finite.
-    assumptions.append(ASSUMPTION_SPECIAL_FINITE)
     conditional = not inv.special_fiber_brauer_finite
 
     return StructureReport(
@@ -359,7 +356,7 @@ def invariant_report(inv: BrauerInvariants) -> StructureReport:
         limit_kernel_rank_bound=inv.f * inv.h02,
         corank_table=tuple(table),
         citations=tuple(dict.fromkeys(citations)),
-        assumptions=tuple(dict.fromkeys(assumptions)) if conditional else (),
+        assumptions=(ASSUMPTION_SPECIAL_FINITE,) if conditional else (),
         conditional=conditional,
     )
 

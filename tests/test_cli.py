@@ -38,17 +38,6 @@ def test_every_subcommand_has_a_schema(capsys):
         assert out == schema
 
 
-def test_published_schemas_match_packaged_ones():
-    # The repository publishes the schema files at /schemas; they must not
-    # drift from the copies shipped inside the package.
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parents[1]
-    for name in SUBCOMMANDS:
-        published = json.loads((root / "schemas" / f"{name}.json").read_text())
-        assert published == load_schema(name), name
-
-
 def test_unknown_schema_request(capsys):
     code, out = run_json(capsys, "--schema", "nonsense")
     assert code == 2

@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limext import (
     ContinuumError,
@@ -27,7 +29,7 @@ from support import (
     random_descriptor,
 )
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "limext" / "data" / "block_tables.json"
+DATA = Path(__file__).resolve().parent / "data" / "block_tables.json"
 
 FUNCTOR_PRIMES = (2, 3, 5)
 
@@ -219,6 +221,20 @@ def test_six_term_consistency_on_random_descriptors():
         assert seq.lim1 == lim1_mult_p(g, p)
         assert seq.lim1_power_images == seq.lim1
         assert seq.lim1_torsion.is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(FUNCTOR_PRIMES))
+def test_six_term_additive_over_pairs(rng, p):
+    # Every term is additive, so the sequence of a sum is the termwise sum;
+    # with the per-block appendix rows this pins the sequence on every sum.
+    a = random_descriptor(rng)
+    b = random_descriptor(rng)
+    sums = tuple(
+        x + y
+        for x, y in zip(six_term_mult_p(a, p).terms(), six_term_mult_p(b, p).terms())
+    )
+    assert six_term_mult_p(a + b, p).terms() == sums
 
 
 def test_six_term_worked_rows():
