@@ -141,12 +141,57 @@ class PrimeMultiplicity:
     def is_zero(self) -> bool:
         return self.default.is_zero and not self.exceptions
 
+    @classmethod
+    def total(cls, parts) -> "PrimeMultiplicity":
+        """The pointwise sum of any number of multiplicities, in one pass.
+
+        At a prime p the sum is the sum of all defaults, minus the defaults
+        of the parts with an exception at p, plus those exceptions; it is
+        the continuum when a continuum default survives that subtraction or
+        one of those exceptions is the continuum.  The parts are already
+        normalized, so their exception primes are not checked again.
+
+        >>> a = PrimeMultiplicity.build(1, {5: 0})
+        >>> b = PrimeMultiplicity.build(2, {5: 3, 7: "continuum"})
+        >>> s = PrimeMultiplicity.total([a, b, a])
+        >>> s.at(2), s.at(5), s.at(7)
+        (ExtCardinal(value=4), ExtCardinal(value=3), ExtCardinal(value=None))
+        >>> PrimeMultiplicity.total([]) == PrimeMultiplicity()
+        True
+        """
+        # Plain ints: a finite count and a count of continuum terms, once for
+        # the defaults and once per exception prime as a correction to them.
+        finite = continuum = 0
+        corrections: dict[int, list[int]] = {}
+        for part in parts:
+            d = part.default.value
+            if d is None:
+                continuum += 1
+            else:
+                finite += d
+            for p, v in part.exceptions:
+                c = corrections.get(p)
+                if c is None:
+                    c = corrections[p] = [0, 0]
+                if d is None:
+                    c[1] -= 1
+                else:
+                    c[0] -= d
+                if v.value is None:
+                    c[1] += 1
+                else:
+                    c[0] += v.value
+        default = CONTINUUM if continuum else ExtCardinal(finite)
+        exceptions = []
+        for p in sorted(corrections):
+            df, dc = corrections[p]
+            v = CONTINUUM if continuum + dc else ExtCardinal(finite + df)
+            if v != default:
+                exceptions.append((p, v))
+        return cls(default, tuple(exceptions))
+
     def __add__(self, other: "PrimeMultiplicity") -> "PrimeMultiplicity":
-        primes = {p for p, _ in self.exceptions} | {p for p, _ in other.exceptions}
-        return PrimeMultiplicity.build(
-            self.default + other.default,
-            {p: self.at(p) + other.at(p) for p in primes},
-        )
+        return PrimeMultiplicity.total((self, other))
 
     def scale(self, c) -> "PrimeMultiplicity":
         c = as_cardinal(c)
@@ -279,19 +324,56 @@ class GroupDescriptor:
 
     # -- algebra ------------------------------------------------------------
 
-    def __add__(self, other: "GroupDescriptor") -> "GroupDescriptor":
-        inv: dict[tuple[int, ...], int] = dict(self.inverted)
-        for k, c in other.inverted:
-            inv[k] = inv.get(k, 0) + c
-        return GroupDescriptor.build(
-            free_rank=self.free_rank + other.free_rank,
-            cyclic=self.cyclic + other.cyclic,
-            local=_merge_counts(self.local, other.local),
-            inverted=tuple(inv.items()),
-            rational=self.rational + other.rational,
-            pruefer=self.pruefer + other.pruefer,
-            padic=_merge_counts(self.padic, other.padic),
+    @classmethod
+    def total(cls, parts) -> "GroupDescriptor":
+        """The direct sum of any number of descriptors, normalized once.
+
+        Block counts are merged across all parts, the Pruefer multiplicities
+        are summed by :meth:`PrimeMultiplicity.total`, and :meth:`build`
+        runs a single time on the result.  ``parts`` is read once, so an
+        iterator of descriptors is summed without holding them all.
+
+        >>> parts = [GroupDescriptor.free(), GroupDescriptor.cyclic_group(2),
+        ...          GroupDescriptor.cyclic_group(3)]
+        >>> print(GroupDescriptor.total(parts))
+        Z + C6
+        >>> GroupDescriptor.total([]).is_zero()
+        True
+        """
+        free_rank = 0
+        rational = ZERO_CARDINAL
+        cyclic: list[int] = []
+        local: dict[int, int] = {}
+        inverted: dict[tuple[int, ...], int] = {}
+        padic: dict[int, int] = {}
+
+        def pruefers():
+            # Merges every other block while handing the Pruefer parts on,
+            # so the accumulators are complete only once it is exhausted.
+            nonlocal free_rank, rational
+            for g in parts:
+                free_rank += g.free_rank
+                rational += g.rational
+                cyclic.extend(g.cyclic)
+                for counts, blocks in ((local, g.local), (inverted, g.inverted),
+                                       (padic, g.padic)):
+                    for k, c in blocks:
+                        counts[k] = counts.get(k, 0) + c
+                yield g.pruefer
+
+        pruefer = PrimeMultiplicity.total(pruefers())
+        return cls.build(
+            free_rank=free_rank,
+            cyclic=cyclic,
+            local=local,
+            inverted=tuple(inverted.items()),
+            rational=rational,
+            pruefer=pruefer,
+            padic=padic,
         )
+
+    def __add__(self, other: "GroupDescriptor") -> "GroupDescriptor":
+        return GroupDescriptor.total((self, other))
 
     def scale(self, n: int) -> "GroupDescriptor":
         if n < 0:
@@ -407,13 +489,6 @@ def _clean_prime_counts(mapping) -> tuple[tuple[int, int], ...]:
         if c:
             out[p] = out.get(p, 0) + c
     return tuple(sorted(out.items()))
-
-
-def _merge_counts(a, b) -> dict:
-    out = dict(a)
-    for p, c in b:
-        out[p] = out.get(p, 0) + c
-    return out
 
 
 ZERO_DESCRIPTOR = GroupDescriptor.build()

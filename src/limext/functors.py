@@ -106,6 +106,8 @@ def finite_coefficients_descriptor(
     separated += sum(c for s, c in g.inverted if p not in s)
     pj = p ** j
     quotient, torsion = finite_coefficients(GroupStructure(separated, g.cyclic), pj)
+    if pruefer_p.is_zero:
+        return quotient, torsion
     pruefer_torsion = GroupStructure.from_factors([pj] * pruefer_p.value)
     return quotient, direct_sum(torsion, pruefer_torsion)
 

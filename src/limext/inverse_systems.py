@@ -236,9 +236,6 @@ class Lim1Class:
     def multiplicity(self, p: int) -> int:
         return self.pruefer.at(p).value
 
-    def __add__(self, other: "Lim1Class") -> "Lim1Class":
-        return Lim1Class(self.rational + other.rational, self.pruefer + other.pruefer)
-
     def to_descriptor(self) -> GroupDescriptor:
         return GroupDescriptor.build(rational=self.rational, pruefer=self.pruefer)
 
@@ -260,20 +257,27 @@ def lim1_classify(system, strategy: str = "recursive") -> Lim1Class:
 
     Two independent routes:
 
-    * ``recursive`` peels off the last coordinate of the diagonal tail; for
-      a diagonal system the connecting map between the layers vanishes, so
-      the class of the whole is the sum of the class of the rank-(r-1)
-      subsystem and the rank-1 quotient system, classified directly from its
-      multiplier sequence.
+    * ``recursive`` splits the diagonal tail into its rank-1 coordinate
+      systems; the connecting maps between the layers vanish, so the class
+      is the sum of the coordinates' classes, and that sum is counted
+      directly.  Let n be the number of coordinates with a non-unit period
+      entry and c_p the number of coordinates whose multipliers p divides.
+      If n = 0 the derived limit vanishes; otherwise it is Q^continuum plus
+      Pruefer summands with multiplicity n at every prime, except n - c_p
+      at each p with c_p > 0.  The cost is linear in the rank.
     * ``ext_oracle`` dualizes each coordinate: the colimit of the dual maps
       is a rank-1 subgroup of Q whose Ext group against Z is the derived
-      limit of that coordinate.
+      limit of that coordinate; the Ext groups are added with
+      :meth:`GroupDescriptor.total`.
 
     The prefix never contributes: dropping finitely many stages is cofinal.
 
     >>> c = lim1_classify(InverseSystemSpec.build(1, [], [[5]]))
     >>> c.rational.is_continuum, c.multiplicity(5), c.multiplicity(3)
     (True, 0, 1)
+    >>> c = lim1_classify(InverseSystemSpec.build(3, [], [[6, 10, 1]]))
+    >>> c.multiplicity(2), c.multiplicity(3), c.multiplicity(7)
+    (0, 1, 2)
     >>> lim1_classify(InverseSystemSpec.build(2, [], [[1, 1]])).is_zero
     True
     """
@@ -286,35 +290,38 @@ def lim1_classify(system, strategy: str = "recursive") -> Lim1Class:
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
-def _classify_rank_one(multipliers) -> Lim1Class:
-    # Rank-1 system Z <- Z <- ... with the period multipliers repeating: if
-    # they are all units the system is constant up to sign and the derived
-    # limit vanishes; otherwise the derived limit is the quotient of the
-    # profinite completion along the inverted primes, a continuum Q-space
-    # plus one Pruefer summand at every prime NOT dividing the multipliers.
-    inverted = set()
-    for a in multipliers:
-        a = abs(a)
-        if a > 1:
-            inverted |= set(prime_factors(a))
-    if not inverted:
+def _classify_recursive(cols) -> Lim1Class:
+    # A rank-1 coordinate with a non-unit multiplier has derived limit
+    # Q^continuum plus one Pruefer summand at every prime not dividing its
+    # multipliers (the quotient of the profinite completion along the
+    # inverted primes); an all-unit coordinate contributes nothing.  The
+    # diagonal tail splits, so n and the c_p add up the coordinates.
+    n = 0
+    divides: dict[int, int] = {}
+    for col in cols:
+        primes = set()
+        for a in col:
+            a = abs(a)
+            if a > 1:
+                primes.update(prime_factors(a))
+        if primes:
+            n += 1
+            for p in primes:
+                divides[p] = divides.get(p, 0) + 1
+    if not n:
         return ZERO_LIM1
+    # Every c_p >= 1, so no exception equals the default: already normalized.
     return Lim1Class(
         rational=CONTINUUM,
-        pruefer=PrimeMultiplicity.build(1, {p: 0 for p in inverted}),
+        pruefer=PrimeMultiplicity(
+            ExtCardinal(n),
+            tuple((p, ExtCardinal(n - c)) for p, c in sorted(divides.items())),
+        ),
     )
 
 
-def _classify_recursive(cols) -> Lim1Class:
-    # Diagonal tail: the sequence of the rank-(j-1) subsystem, the rank-j
-    # subsystem, and the rank-1 quotient splits, so the parameters add one
-    # coordinate at a time.
-    return sum(map(_classify_rank_one, cols), ZERO_LIM1)
-
-
 def _classify_ext_oracle(spec: InverseSystemSpec) -> Lim1Class:
-    total = GroupDescriptor.build()
-    for j in range(spec.rank):
-        profile = eprofile_from_multipliers([], spec.coordinate_period(j))
-        total = total + ext_to_z(profile)
-    return Lim1Class.from_descriptor(total)
+    return Lim1Class.from_descriptor(GroupDescriptor.total(
+        ext_to_z(eprofile_from_multipliers([], spec.coordinate_period(j)))
+        for j in range(spec.rank)
+    ))

@@ -291,3 +291,45 @@ def primewise_invariant_factors(orders) -> tuple[int, ...]:
                 chain.append(1)
             chain[i] *= p ** e
     return tuple(reversed(chain))
+
+
+def _cardinal_sum(values):
+    """Sum of cardinals given as ints, or as None for the continuum, in
+    the form ``build`` accepts."""
+    values = list(values)
+    return "continuum" if None in values else sum(values)
+
+
+def pointwise_multiplicity_sum(parts) -> PrimeMultiplicity:
+    """Sum of prime multiplicities computed prime by prime from ``at``:
+    the default from the parts' defaults, and the value at every prime that
+    is an exception of some part from the parts' values there."""
+    primes = {p for part in parts for p, _ in part.exceptions}
+    return PrimeMultiplicity.build(
+        _cardinal_sum(part.default.value for part in parts),
+        {p: _cardinal_sum(part.at(p).value for part in parts) for p in primes},
+    )
+
+
+def blockwise_descriptor_sum(parts) -> GroupDescriptor:
+    """Direct sum of descriptors merged block by block, with the Pruefer
+    part from :func:`pointwise_multiplicity_sum`."""
+    local: dict = {}
+    padic: dict = {}
+    inverted: dict = {}
+    for g in parts:
+        for p in {q for q, _ in g.local}:
+            local[p] = local.get(p, 0) + g.local_count(p)
+        for p in {q for q, _ in g.padic}:
+            padic[p] = padic.get(p, 0) + g.padic_count(p)
+        for key, c in g.inverted:
+            inverted[key] = inverted.get(key, 0) + c
+    return GroupDescriptor.build(
+        free_rank=sum(g.free_rank for g in parts),
+        cyclic=[m for g in parts for m in g.cyclic],
+        local=local,
+        inverted=list(inverted.items()),
+        rational=_cardinal_sum(g.rational.value for g in parts),
+        pruefer=pointwise_multiplicity_sum([g.pruefer for g in parts]),
+        padic=padic,
+    )

@@ -1,10 +1,36 @@
 import random
+from functools import reduce
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limext import DomainError, ExtCardinal, GroupDescriptor, GroupStructure
 from limext.descriptors import CONTINUUM, PrimeMultiplicity, as_cardinal
-from support import random_descriptor
+from support import blockwise_descriptor_sum, pointwise_multiplicity_sum, random_descriptor
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+# Finite counts and the continuum, weighted so continuum terms are common.
+cardinals = st.one_of(st.integers(min_value=0, max_value=3), st.just("continuum"))
+multiplicities = st.builds(
+    PrimeMultiplicity.build,
+    cardinals,
+    st.dictionaries(st.sampled_from(PRIMES), cardinals, max_size=4),
+)
+counts = st.dictionaries(st.sampled_from(PRIMES), st.integers(min_value=0, max_value=3),
+                         max_size=3)
+descriptors = st.builds(
+    GroupDescriptor.build,
+    free_rank=st.integers(min_value=0, max_value=3),
+    cyclic=st.lists(st.integers(min_value=1, max_value=72), max_size=3),
+    local=counts,
+    inverted=st.lists(st.tuples(st.sets(st.sampled_from(PRIMES), min_size=1, max_size=2),
+                                st.integers(min_value=0, max_value=3)), max_size=2),
+    rational=cardinals,
+    pruefer=multiplicities,
+    padic=counts,
+)
 
 
 def test_cardinal_arithmetic():
@@ -42,6 +68,22 @@ def test_prime_multiplicity_addition_pointwise():
     total = a + b
     for p in (2, 3, 5, 97):
         assert total.at(p) == a.at(p) + b.at(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(multiplicities, max_size=8))
+def test_prime_multiplicity_total_matches_pointwise_sum(parts):
+    total = PrimeMultiplicity.total(parts)
+    assert total == pointwise_multiplicity_sum(parts)
+    assert total == reduce(add, parts, PrimeMultiplicity())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(descriptors, max_size=8))
+def test_descriptor_total_matches_blockwise_sum(parts):
+    total = GroupDescriptor.total(parts)
+    assert total == blockwise_descriptor_sum(parts)
+    assert total == reduce(add, parts, GroupDescriptor.build())
 
 
 def test_descriptor_normalization():

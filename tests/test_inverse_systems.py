@@ -13,7 +13,8 @@ from limext import (
     lim_structure,
     validate_system,
 )
-from limext.descriptors import CONTINUUM
+from limext.descriptors import CONTINUUM, PrimeMultiplicity
+from limext.inverse_systems import Lim1Class
 from support import random_system
 
 
@@ -120,6 +121,32 @@ def test_strategies_agree_at_high_rank():
     nonunit = [d for d in vec if abs(d) > 1]
     assert c.multiplicity(11) == len(nonunit)
     assert c.multiplicity(5) == sum(d % 5 != 0 for d in nonunit)
+
+
+def test_strategies_agree_with_counting_at_high_rank():
+    # 600 coordinates over a pool of 24 primes, so primes are shared widely.
+    # Each coordinate's primes are drawn first and split over a period of 2
+    # (with powers and signs), so n and the c_p are known from the draw.
+    rng = random.Random(8)
+    pool = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+            67, 71, 73, 79, 83, 89)
+    cols = []
+    drawn = []
+    for _ in range(600):
+        primes = rng.sample(pool, rng.choice((0, 0, 1, 2, 3)))
+        entries = [rng.choice((1, -1)), rng.choice((1, -1))]
+        for p in primes:
+            entries[rng.randrange(2)] *= p ** rng.randint(1, 3)
+        cols.append(entries)
+        drawn.append(primes)
+    spec = InverseSystemSpec.build(600, [], [[c[t] for c in cols] for t in range(2)])
+    n = sum(1 for primes in drawn if primes)
+    c = {p: sum(p in primes for primes in drawn) for p in pool}
+    expected = Lim1Class(CONTINUUM, PrimeMultiplicity.build(
+        n, {p: n - cp for p, cp in c.items()}))
+    assert 0 < n < 600 and min(c.values()) > 10
+    assert lim1_classify(spec, "recursive") == expected
+    assert lim1_classify(spec, "ext_oracle") == expected
 
 
 def test_oracle_equivalence_randomized():
