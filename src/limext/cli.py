@@ -59,12 +59,6 @@ from .rank1 import EProfile, eprofile_from_multipliers, ext_to_z, hom_to_z, is_f
 from .submodules import TaggedGenerators, classify_submodule
 from .valuations import TruncatedPolyRing, check_binomial_lemma, unit_power_check, vp_binomial, vp_factorial
 
-SUBCOMMANDS = (
-    "snf", "group", "descriptor", "lim1", "ml", "ext-rank1",
-    "classify-submodule", "valuation", "brauer", "report",
-)
-
-
 class SchemaViolation(Exception):
     pass
 
@@ -76,13 +70,29 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _validate(instance, schema: dict, path: str = "$") -> None:
-    """Validate against the subset of JSON Schema used by the published files."""
+_TYPE_CHECKS = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "boolean": lambda x: isinstance(x, bool),
+}
+
+
+def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None) -> None:
+    """Validate against the subset of JSON Schema used by the published files:
+    oneOf, enum, type, pattern, properties, required, additionalProperties,
+    items, minItems, and local ``$ref`` ("#/$defs/<name>"), looked up in
+    ``defs``, which defaults to the root schema's ``$defs``.
+    """
+    defs = schema.get("$defs", {}) if defs is None else defs
+    if "$ref" in schema:
+        schema = defs[schema["$ref"].removeprefix("#/$defs/")]
     if "oneOf" in schema:
         errors = []
         for option in schema["oneOf"]:
             try:
-                _validate(instance, option, path)
+                _validate(instance, option, path, defs)
                 return
             except SchemaViolation as exc:
                 errors.append(str(exc))
@@ -97,14 +107,7 @@ def _validate(instance, schema: dict, path: str = "$") -> None:
     if types is not None:
         if isinstance(types, str):
             types = [types]
-        checks = {
-            "object": lambda x: isinstance(x, dict),
-            "array": lambda x: isinstance(x, list),
-            "string": lambda x: isinstance(x, str),
-            "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
-            "boolean": lambda x: isinstance(x, bool),
-        }
-        if not any(checks[t](instance) for t in types):
+        if not any(_TYPE_CHECKS[t](instance) for t in types):
             raise SchemaViolation(f"{path}: expected {' or '.join(types)}")
     if isinstance(instance, str) and "pattern" in schema:
         if not re.fullmatch(schema["pattern"], instance):
@@ -118,18 +121,18 @@ def _validate(instance, schema: dict, path: str = "$") -> None:
         extra = schema.get("additionalProperties", True)
         for key, value in instance.items():
             if key in props:
-                _validate(value, props[key], f"{path}.{key}")
+                _validate(value, props[key], f"{path}.{key}", defs)
             elif extra is False:
                 raise SchemaViolation(f"{path}: unexpected key {key!r}")
             elif isinstance(extra, dict):
-                _validate(value, extra, f"{path}.{key}")
+                _validate(value, extra, f"{path}.{key}", defs)
     if isinstance(instance, list):
         if len(instance) < schema.get("minItems", 0):
             raise SchemaViolation(f"{path}: expected at least "
                                   f"{schema['minItems']} items")
         if "items" in schema:
             for i, item in enumerate(instance):
-                _validate(item, schema["items"], f"{path}[{i}]")
+                _validate(item, schema["items"], f"{path}[{i}]", defs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +304,8 @@ _HANDLERS = {
     "brauer": _run_brauer,
     "report": _run_report,
 }
+
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def _emit(obj, output: str | None) -> None:

@@ -27,7 +27,7 @@ from .descriptors import (
     ZERO_CARDINAL,
 )
 from .errors import DomainError, InvalidSystemError
-from .fg_groups import GroupStructure, cokernel_structure
+from .fg_groups import GroupStructure
 from .matrices import IntMatrix
 from .numutil import prime_factors
 from .rank1 import eprofile_from_multipliers, ext_to_z
@@ -92,7 +92,6 @@ class ValidatedSystem:
     """A system spec with checked invariants and cokernel metadata attached."""
 
     spec: InverseSystemSpec
-    cokernel_structures: tuple[GroupStructure, ...]
     cokernel_orders: tuple[int, ...]
     cokernel_prime_support: tuple[int, ...]
     # The unique prime p when every transition cokernel is a p-group and at
@@ -114,7 +113,6 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
         raise InvalidSystemError("rank must be >= 1")
     if not spec.tail_diagonals:
         raise InvalidSystemError("tail period must have length >= 1")
-    structures = []
     orders = []
     for m in spec.prefix:
         if m.rows != r or m.cols != r:
@@ -126,7 +124,6 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
             raise InvalidSystemError(
                 "prefix matrix has zero determinant (infinite cokernel)"
             )
-        structures.append(cokernel_structure(m))
         orders.append(abs(det))
     # A diagonal cokernel has the prime support of its entries, so each
     # distinct tail entry is factored, never their product.
@@ -138,7 +135,6 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
             )
         if any(d == 0 for d in vec):
             raise InvalidSystemError("tail diagonal entries must be nonzero")
-        structures.append(GroupStructure.from_factors(vec))
         orders.append(prod(abs(d) for d in vec))
         to_factor.update(abs(d) for d in vec)
     support = set()
@@ -147,7 +143,6 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
             support |= set(prime_factors(n))
     return ValidatedSystem(
         spec=spec,
-        cokernel_structures=tuple(structures),
         cokernel_orders=tuple(orders),
         cokernel_prime_support=tuple(sorted(support)),
         p_group_prime=next(iter(support)) if len(support) == 1 else None,

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 from limext.cli import SUBCOMMANDS, load_schema, main
 
@@ -329,38 +330,87 @@ def test_file_input_output(tmp_path, capsys):
 
 def test_result_documents_revalidate_against_published_schemas(capsys):
     # Results embedding the same document types as inputs must re-validate
-    # against the corresponding published schema fragments.
+    # against the corresponding named definitions of the published schemas.
     from limext.cli import _validate
 
-    matrix_schema = load_schema("snf")
+    def check(instance, subcommand, name):
+        defs = load_schema(subcommand)["$defs"]
+        _validate(instance, defs[name], "$", defs)
+
     code, data = run_json(capsys, "snf", json.dumps({
         "rows": "2", "cols": "3", "entries": [["2", "4", "0"], ["6", "8", "-1"]],
     }))
     assert code == 0
     for key in ("U", "D", "V"):
-        _validate(data[key], matrix_schema)
+        check(data[key], "group", "matrix")
 
-    profile_schema = load_schema("ext-rank1")["oneOf"][0]["properties"]["profile"]
     code, data = run_json(capsys, "ext-rank1", json.dumps({
         "op": "from-multipliers", "prefix": [], "period": ["10"],
     }))
     assert code == 0
-    _validate(data["result"], profile_schema)
+    check(data["result"], "ext-rank1", "profile")
 
-    descriptor_schema = load_schema("descriptor")["oneOf"][0]["properties"]["group"]
     code, data = run_json(capsys, "descriptor", json.dumps({
         "op": "lim1", "group": {"free_rank": "1"}, "p": "3",
     }))
     assert code == 0
-    _validate(data["result"], descriptor_schema)
+    check(data["result"], "descriptor", "descriptor")
 
-    group_schema = load_schema("group")["oneOf"][2]["properties"]["group"]
     code, data = run_json(capsys, "group", json.dumps({
         "op": "cokernel",
         "matrix": {"rows": "2", "cols": "2", "entries": [["2", "4"], ["6", "8"]]},
     }))
     assert code == 0
-    _validate(data["result"], group_schema)
+    check(data["result"], "group", "group")
+
+
+def _subschemas(node):
+    if isinstance(node, dict):
+        yield node
+        for value in node.values():
+            yield from _subschemas(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _subschemas(value)
+
+
+def test_schema_refs_are_local_and_every_definition_is_used():
+    for name in SUBCOMMANDS:
+        schema = load_schema(name)
+        defs = schema.get("$defs", {})
+        refs = [node["$ref"] for node in _subschemas(schema) if "$ref" in node]
+        for ref in refs:
+            assert ref.startswith("#/$defs/"), (name, ref)
+            assert ref.removeprefix("#/$defs/") in defs, (name, ref)
+        assert {ref.removeprefix("#/$defs/") for ref in refs} == set(defs), name
+
+
+def test_schemas_define_each_large_subschema_once():
+    for name in SUBCOMMANDS:
+        counts = Counter(
+            json.dumps(node, sort_keys=True, separators=(",", ":"))
+            for node in _subschemas(load_schema(name))
+        )
+        repeated = [text for text, n in counts.items() if n > 1 and len(text) > 100]
+        assert not repeated, (name, repeated)
+
+
+def test_violation_inside_a_definition_reports_the_payload_path(capsys):
+    code, data = run_json(capsys, "lim1", json.dumps({
+        "rank": "2",
+        "prefix": [{"rows": "2", "cols": "2", "entries": [["1", "0"], ["0", "x"]]}],
+        "tail": {"diagonals": [["1", "2"]]},
+    }))
+    assert code == 2
+    assert data["error"]["message"] == "$.prefix[0].entries[1][1]: 'x' does not match ^-?[0-9]+$"
+
+    code, data = run_json(capsys, "descriptor", json.dumps({
+        "op": "completion-cokernel", "group": {},
+        "next": {"pruefer": {"exceptions": {"5": "many"}}}, "p": "5",
+    }))
+    assert code == 2
+    assert ("$.next.pruefer.exceptions.5: 'many' does not match ^([0-9]+|continuum)$"
+            in data["error"]["message"])
 
 
 def test_results_reparse_under_schema_types(capsys):

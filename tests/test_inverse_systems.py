@@ -26,12 +26,10 @@ def diag_system(*vecs, rank=None, prefix=()):
 def test_validate_attaches_cokernel_metadata():
     v = validate_system(diag_system([5]))
     assert v.cokernel_orders == (5,)
-    assert v.cokernel_structures == (GroupStructure.from_factors([5]),)
     assert v.p_group_prime == 5
 
     v = validate_system(diag_system([1, 6]))
     assert v.cokernel_orders == (6,)
-    assert v.cokernel_structures[0] == GroupStructure.from_factors([6])
     assert v.p_group_prime is None
     assert v.cokernel_prime_support == (2, 3)
 
