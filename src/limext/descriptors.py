@@ -43,8 +43,6 @@ class ExtCardinal:
     ExtCardinal(value=7)
     >>> ExtCardinal(3) + CONTINUUM == CONTINUUM
     True
-    >>> CONTINUUM * 0 == ExtCardinal(0)
-    True
     """
 
     value: int | None = 0
@@ -65,16 +63,6 @@ class ExtCardinal:
         if self.is_continuum or other.is_continuum:
             return CONTINUUM
         return ExtCardinal(self.value + other.value)
-
-    def __mul__(self, other) -> "ExtCardinal":
-        other = as_cardinal(other)
-        if self.is_zero or other.is_zero:
-            return ExtCardinal(0)
-        if self.is_continuum or other.is_continuum:
-            return CONTINUUM
-        return ExtCardinal(self.value * other.value)
-
-    __rmul__ = __mul__
 
     def __str__(self):
         return "continuum" if self.is_continuum else str(self.value)
@@ -192,12 +180,6 @@ class PrimeMultiplicity:
 
     def __add__(self, other: "PrimeMultiplicity") -> "PrimeMultiplicity":
         return PrimeMultiplicity.total((self, other))
-
-    def scale(self, c) -> "PrimeMultiplicity":
-        c = as_cardinal(c)
-        return PrimeMultiplicity.build(
-            self.default * c, {p: v * c for p, v in self.exceptions}
-        )
 
     def has_continuum(self) -> bool:
         return self.default.is_continuum or any(v.is_continuum for _, v in self.exceptions)
@@ -375,21 +357,6 @@ class GroupDescriptor:
     def __add__(self, other: "GroupDescriptor") -> "GroupDescriptor":
         return GroupDescriptor.total((self, other))
 
-    def scale(self, n: int) -> "GroupDescriptor":
-        if n < 0:
-            raise DomainError("multiplicities must be nonnegative")
-        if n == 0:
-            return ZERO_DESCRIPTOR
-        return GroupDescriptor.build(
-            free_rank=self.free_rank * n,
-            cyclic=self.cyclic * n,
-            local={p: c * n for p, c in self.local},
-            inverted=[(k, c * n) for k, c in self.inverted],
-            rational=self.rational * n,
-            pruefer=self.pruefer.scale(n),
-            padic={p: c * n for p, c in self.padic},
-        )
-
     def is_zero(self) -> bool:
         return self == ZERO_DESCRIPTOR
 
@@ -406,13 +373,6 @@ class GroupDescriptor:
 
     def padic_count(self, p: int) -> int:
         return dict(self.padic).get(p, 0)
-
-    def corank(self, l: int) -> ExtCardinal:
-        """Number of Pruefer summands at l (the l-corank of the torsion part)."""
-        return self.pruefer.at(l)
-
-    def finite_part(self) -> GroupStructure:
-        return GroupStructure(0, self.cyclic)
 
     def __str__(self):
         parts = []

@@ -99,9 +99,6 @@ class GroupStructure:
             return None
         return prod(self.invariant_factors) if self.invariant_factors else 1
 
-    def torsion(self) -> "GroupStructure":
-        return GroupStructure(0, self.invariant_factors)
-
     def is_p_group(self, p: int) -> bool:
         """Whether the group is finite of p-power order (only the trivial
         group when p is not prime)."""

@@ -168,6 +168,8 @@ class BrauerInvariants:
                 raise DomainError(f"{name} must be nonnegative")
         if self.components < 1:
             raise DomainError("component count is at least 1")
+        if self.s is not None and self.s < 0:
+            raise DomainError("s must be nonnegative")
 
     def to_json(self) -> dict:
         out = {
@@ -314,10 +316,6 @@ def invariant_report(inv: BrauerInvariants) -> StructureReport:
             f"s = {s} exceeds the span bound f*h02 = {inv.f * inv.h02}",
             citation=CITE_SPAN_DIMENSION,
         )
-    if inv.h02 == 0 and r > 0:
-        raise InconsistentInputsError(
-            f"h02 = 0 forces r = 0, got r = {r}", citation=CITE_SPAN_DIMENSION
-        )
     t = r - s
 
     kernel = kernel_structure(s, t, inv.p)
@@ -355,7 +353,7 @@ def invariant_report(inv: BrauerInvariants) -> StructureReport:
         picard_local_rank=inv.f * inv.h01,
         limit_kernel_rank_bound=inv.f * inv.h02,
         corank_table=tuple(table),
-        citations=tuple(dict.fromkeys(citations)),
+        citations=tuple(citations),
         assumptions=(ASSUMPTION_SPECIAL_FINITE,) if conditional else (),
         conditional=conditional,
     )

@@ -97,6 +97,8 @@ class ValidatedSystem:
     # The unique prime p when every transition cokernel is a p-group and at
     # least one is nontrivial; None otherwise.
     p_group_prime: int | None
+    # Per tail coordinate, the primes dividing some entry of its period.
+    coordinate_primes: tuple[frozenset[int], ...]
 
 
 def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
@@ -137,15 +139,17 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
             raise InvalidSystemError("tail diagonal entries must be nonzero")
         orders.append(prod(abs(d) for d in vec))
         to_factor.update(abs(d) for d in vec)
-    support = set()
-    for n in to_factor:
-        if n > 1:
-            support |= set(prime_factors(n))
+    primes = {n: frozenset(prime_factors(n) if n > 1 else ()) for n in to_factor}
+    support = frozenset().union(*primes.values())
     return ValidatedSystem(
         spec=spec,
         cokernel_orders=tuple(orders),
         cokernel_prime_support=tuple(sorted(support)),
         p_group_prime=next(iter(support)) if len(support) == 1 else None,
+        coordinate_primes=tuple(
+            frozenset().union(*(primes[abs(d)] for d in col))
+            for col in zip(*spec.tail_diagonals)
+        ),
     )
 
 
@@ -176,14 +180,8 @@ def lim_structure(system) -> GroupStructure:
     >>> print(lim_structure(InverseSystemSpec.build(2, [], [[1, 6]])))
     Z
     """
-    v = _as_validated(system)
-    spec = v.spec
-    units = sum(
-        1
-        for j in range(spec.rank)
-        if all(abs(d) == 1 for d in spec.coordinate_period(j))
-    )
-    return GroupStructure(free_rank=units)
+    primes = _as_validated(system).coordinate_primes
+    return GroupStructure(free_rank=sum(1 for q in primes if not q))
 
 
 def is_mittag_leffler(system) -> bool:
@@ -197,10 +195,7 @@ def is_mittag_leffler(system) -> bool:
     >>> is_mittag_leffler(InverseSystemSpec.build(1, [], [[5]]))
     False
     """
-    v = _as_validated(system)
-    return all(
-        abs(d) == 1 for vec in v.spec.tail_diagonals for d in vec
-    )
+    return not any(_as_validated(system).coordinate_primes)
 
 
 @dataclass(frozen=True)
@@ -230,9 +225,6 @@ class Lim1Class:
 
     def multiplicity(self, p: int) -> int:
         return self.pruefer.at(p).value
-
-    def to_descriptor(self) -> GroupDescriptor:
-        return GroupDescriptor.build(rational=self.rational, pruefer=self.pruefer)
 
     @classmethod
     def from_descriptor(cls, d: GroupDescriptor) -> "Lim1Class":
@@ -278,14 +270,13 @@ def lim1_classify(system, strategy: str = "recursive") -> Lim1Class:
     """
     v = _as_validated(system)
     if strategy == "recursive":
-        cols = [v.spec.coordinate_period(j) for j in range(v.spec.rank)]
-        return _classify_recursive(cols)
+        return _classify_recursive(v.coordinate_primes)
     if strategy == "ext_oracle":
         return _classify_ext_oracle(v.spec)
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
-def _classify_recursive(cols) -> Lim1Class:
+def _classify_recursive(coordinate_primes) -> Lim1Class:
     # A rank-1 coordinate with a non-unit multiplier has derived limit
     # Q^continuum plus one Pruefer summand at every prime not dividing its
     # multipliers (the quotient of the profinite completion along the
@@ -293,12 +284,7 @@ def _classify_recursive(cols) -> Lim1Class:
     # diagonal tail splits, so n and the c_p add up the coordinates.
     n = 0
     divides: dict[int, int] = {}
-    for col in cols:
-        primes = set()
-        for a in col:
-            a = abs(a)
-            if a > 1:
-                primes.update(prime_factors(a))
+    for primes in coordinate_primes:
         if primes:
             n += 1
             for p in primes:

@@ -7,7 +7,6 @@ floating point.  Matrices are immutable; row-major entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import DimensionError
 
@@ -310,10 +309,3 @@ def check_exact_at(f: IntMatrix, g: IntMatrix) -> bool:
     if rank_f + rank_g != f.rows:
         return False
     return all(x in (0, 1) for x in df.diagonal_entries())
-
-
-def matrix_gcd(m: IntMatrix) -> int:
-    g = 0
-    for x in m.entries:
-        g = gcd(g, x)
-    return g

@@ -43,7 +43,7 @@ class EProfile:
     matters to the classification, so an arbitrary finite default collapses
     to 1.  Exception values are arbitrary nonnegative integers or infinity.
 
-    >>> EProfile.build(0).is_z_profile()
+    >>> is_free(EProfile.build(0))
     True
     >>> zp = EProfile.localized_profile(5)   # all primes but 5 inverted
     >>> zp.at(5), zp.at(7)
@@ -86,9 +86,6 @@ class EProfile:
                 return e
         return self.default
 
-    def finite_support(self):
-        return tuple(p for p, e in self.exceptions if e != INFINITE and e > 0)
-
     def to_json(self) -> dict:
         def enc(e):
             return "inf" if e == INFINITE else int(e)
@@ -104,9 +101,6 @@ class EProfile:
             data.get("default", 0),
             {int(p): e for p, e in data.get("exceptions", {}).items()},
         )
-
-    def is_z_profile(self) -> bool:
-        return is_free(self)
 
 
 def eprofile_from_multipliers(prefix, period) -> EProfile:

@@ -4,11 +4,12 @@ A finitely described submodule of Q^r is given by tagged generators: a
 ``local`` generator g spans the Z_(p)-line through g, a ``divisible``
 generator spans the full Q-line (equivalently, a generator with any prime
 other than p inverted, since the Z_(p)-span of such an orbit is already the
-Q-line).  When the generators span Q^r rationally, the submodule is an
-extension of Q^t by a free Z_(p)-module of rank s with s + t = r, and this
-module computes (s, t) by the projection induction: kill the divisible span
-with a rational functional, classify the rank-1 image, recurse on the
-kernel.
+Q-line).  When the generators span Q^r rationally, the submodule M is an
+extension of Q^t by a free Z_(p)-module of rank s with s + t = r, and (s, t)
+is read off by rational rank alone: the divisible span D is Q^t with t its
+dimension, and M/D is a finitely generated Z_(p)-submodule of the
+Q-vector space Q^r/D, hence torsion free, hence free, and it spans Q^r/D,
+so its rank is s = r - t.
 
 The same (s, t) data feeds the closed-form kernel structure: the divisible
 part is one copy of Q/Z-minus-its-p-part per s and one full Q/Z per t, plus
@@ -24,7 +25,7 @@ from fractions import Fraction
 from .descriptors import GroupDescriptor, PrimeMultiplicity
 from .errors import DomainError, SpanError
 from .fg_groups import GroupStructure, TRIVIAL_GROUP
-from .numutil import require_prime, vp
+from .numutil import require_prime
 
 LOCAL = "local"
 DIVISIBLE = "divisible"
@@ -143,93 +144,26 @@ def _rational_rank(vectors) -> int:
     return len(_echelon_basis(vectors)[0])
 
 
-def _functional_vanishing_on(basis, dim):
-    """A nonzero functional on Q^dim vanishing on the span of the basis rows."""
-    rows, pivots = _echelon_basis(basis)
-    free_col = next(i for i in range(dim) if i not in pivots)
-    # Back-substitute so that <functional, row> = 0 for every basis row.
-    functional = [Fraction(0)] * dim
-    functional[free_col] = Fraction(1)
-    for row, col in reversed(list(zip(rows, pivots))):
-        functional[col] = -sum(
-            row[i] * functional[i] for i in range(dim) if i != col
-        ) / row[col]
-    return functional
-
-
-def _vp_fraction(x: Fraction, p: int) -> int:
-    return vp(x.numerator, p) - vp(x.denominator, p)
-
-
 def classify_submodule(gens: TaggedGenerators) -> STPair:
     """The (s, t) type of the submodule spanned by tagged generators.
 
-    t is the dimension of the rational span of the divisible generators and
-    s = r - t, computed by induction: choose a functional vanishing on the
-    divisible span, classify the projected rank-1 image (always a free
-    Z_(p)-line, generated by the projected local generator of minimal
-    valuation), and recurse on the intersection with the kernel hyperplane.
+    t is the dimension of the rational span D of the divisible generators
+    and s = r - t: the quotient of the submodule by D is a finitely
+    generated Z_(p)-module inside the Q-vector space Q^r/D, so it is
+    torsion free, hence free, and it spans Q^r/D, so its rank is r - t.
 
     >>> gens = TaggedGenerators.build(
     ...     2, 3, [([1, 1], "divisible"), ([1, 0], "local"), ([0, 1], "local")])
     >>> classify_submodule(gens)
     STPair(s=1, t=1, finite_part=GroupStructure(free_rank=0, invariant_factors=()))
     """
-    p = gens.prime
-    vectors = [(g.vector, g.tag) for g in gens.generators]
-    if _rational_rank([v for v, _ in vectors]) != gens.rank:
+    if _rational_rank(g.vector for g in gens.generators) != gens.rank:
         raise SpanError(
             "generators do not span Q^rank rationally",
             citation="full rational span precondition",
         )
-    dim = gens.rank
-    s = 0
-    while True:
-        divisible = [v for v, tag in vectors if tag == DIVISIBLE]
-        div_basis, _ = _echelon_basis(divisible)
-        t = len(div_basis)
-        if t == dim:
-            return STPair(s=s, t=t, finite_part=TRIVIAL_GROUP)
-
-        functional = _functional_vanishing_on(div_basis, dim)
-        images = [
-            (i, sum(f * x for f, x in zip(functional, v)))
-            for i, (v, tag) in enumerate(vectors)
-            if tag == LOCAL
-        ]
-        nonzero = [(i, w) for i, w in images if w != 0]
-        # Full span + functional kills all divisible generators, so some
-        # local generator survives the projection.
-        pivot_index, pivot_value = min(
-            nonzero, key=lambda iw: _vp_fraction(iw[1], p)
-        )
-        s += 1
-
-        # Intersection with the kernel hyperplane: divisible generators all
-        # lie in it already; local generators are corrected by a Z_(p)-
-        # multiple of the pivot generator (the ratio has nonnegative
-        # p-valuation by minimality, so the span is unchanged).
-        pivot_vec = vectors[pivot_index][0]
-        image = dict(images)
-        new_vectors = []
-        for i, (v, tag) in enumerate(vectors):
-            if i == pivot_index:
-                continue
-            if tag == LOCAL:
-                c = image[i] / pivot_value
-                v = tuple(a - c * b for a, b in zip(v, pivot_vec))
-            new_vectors.append((v, tag))
-
-        # Re-embed the hyperplane as Q^(dim-1) by deleting a coordinate on
-        # which the functional is nonzero; on the kernel that coordinate is
-        # determined by the others.
-        drop = next(i for i, f in enumerate(functional) if f != 0)
-        vectors = [
-            (v[:drop] + v[drop + 1:], tag)
-            for v, tag in new_vectors
-            if any(x != 0 for x in v[:drop] + v[drop + 1:])
-        ]
-        dim -= 1
+    t = _rational_rank(g.vector for g in gens.generators if g.tag == DIVISIBLE)
+    return STPair(s=gens.rank - t, t=t)
 
 
 def extension_shape(r: int, s: int) -> dict:

@@ -1,3 +1,4 @@
+import io
 import json
 from collections import Counter
 
@@ -34,9 +35,11 @@ def test_every_subcommand_has_a_schema(capsys):
     for name in SUBCOMMANDS:
         schema = load_schema(name)
         assert isinstance(schema, dict)
-        code, out = run_json(capsys, "--schema", name)
+        code, out = run(capsys, "--schema", name)
         assert code == 0
-        assert out == schema
+        assert json.loads(out) == schema
+        # The per-subcommand flag prints the same bytes.
+        assert run(capsys, name, "--schema") == (0, out)
 
 
 def test_unknown_schema_request(capsys):
@@ -58,6 +61,11 @@ def test_exit_codes(capsys):
     code, out = run_json(capsys, "valuation", '{"op":"nope","p":"2","n":"1"}')
     assert code == 2
     assert out["error"]["code"] == "schema-violation"
+    # No subcommand: usage on stderr, nothing on stdout.
+    code = main([])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("usage: limext")
 
 
 def test_lim1_example(capsys):
@@ -206,6 +214,8 @@ def test_ext_rank1_hom_and_quotient(capsys):
 
 
 def test_valuation_unit_power(capsys):
+    code, data = run_json(capsys, "valuation", '{"op":"binomial","p":"2","z":"8","u":"3"}')
+    assert code == 0 and data["result"] == "3"   # C(8, 3) = 56 = 2^3 * 7
     code, data = run_json(capsys, "valuation", json.dumps({
         "op": "unit-power", "p": "2", "n": "3", "s": "2", "degree_bound": "10",
     }))
@@ -291,6 +301,16 @@ def test_brauer_sub_ops(capsys):
     assert code == 0 and data["result"] == "3"
 
     code, data = run_json(capsys, "brauer", json.dumps({
+        "op": "corank", "l_equals_p": True, "f": "2", "h01": "1", "dimVlBrXbarGK": "4",
+    }))
+    assert code == 0 and data["result"] == "7"
+
+    code, data = run_json(capsys, "brauer", json.dumps({
+        "op": "corank-relation", "r": "3", "dimVlBrXs": "2",
+    }))
+    assert code == 0 and data["result"] == "5"
+
+    code, data = run_json(capsys, "brauer", json.dumps({
         "op": "jacobian-example", "p": "29",
     }))
     assert code == 0 and data["r"] == "3"
@@ -318,14 +338,19 @@ def test_unreadable_input_file(capsys):
     assert data["error"]["code"] == "input-unreadable"
 
 
-def test_file_input_output(tmp_path, capsys):
+def test_file_input_output(tmp_path, capsys, monkeypatch):
+    payload = '{"op":"factorial","p":"2","n":"10"}'
     infile = tmp_path / "in.json"
     outfile = tmp_path / "out.json"
-    infile.write_text('{"op":"factorial","p":"2","n":"10"}')
+    infile.write_text(payload)
     code = main(["valuation", "--input", str(infile), "--output", str(outfile)])
     assert code == 0
     assert json.loads(outfile.read_text()) == {"result": "8"}
     assert capsys.readouterr().out == ""
+    # Stdin, named by "-" or by omitting the payload.
+    for argv in (["valuation", "-"], ["valuation"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        assert run_json(capsys, *argv) == (0, {"result": "8"})
 
 
 def test_result_documents_revalidate_against_published_schemas(capsys):

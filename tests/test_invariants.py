@@ -164,6 +164,14 @@ def test_invariants_validation():
         BrauerInvariants(p=5, h01=-1)
 
 
+def test_invariants_reject_negative_s():
+    # Checked at construction, before r, h02 or the kernel structure are read.
+    for h02 in (0, 1):
+        with pytest.raises(DomainError, match="^s must be nonnegative$"):
+            BrauerInvariants(p=5, rho_special=3, rho_generic=1, h02=h02, s=-1)
+    assert BrauerInvariants(p=5, s=0).s == 0
+
+
 def test_report_json_and_summary():
     rep = jacobian_example_report(19)
     data = rep.to_json()

@@ -162,7 +162,8 @@ def test_classify_basis_change_invariance():
 
 def test_classify_matches_divisible_span_dimension():
     # Independent characterization: t is the rational dimension of the span
-    # of the divisible generators (the projection induction must agree).
+    # of the divisible generators, computed here by this test's own
+    # elimination rather than the library's.
     rng = random.Random(2641)
     for _ in range(120):
         r = rng.randint(1, 4)
