@@ -7,6 +7,8 @@ submodules of Q^r, p-adic valuation bounds, and closed-form kernel-structure
 reports for arithmetic families.
 """
 
+from types import ModuleType as _ModuleType
+
 from .descriptors import (
     CONTINUUM,
     ExtCardinal,
@@ -94,74 +96,8 @@ from .valuations import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BrauerInvariants",
-    "CONTINUUM",
-    "ContinuumError",
-    "DimensionError",
-    "DomainError",
-    "EProfile",
-    "ExtCardinal",
-    "GroupDescriptor",
-    "GroupPresentation",
-    "GroupStructure",
-    "INFINITE",
-    "InconsistentInputsError",
-    "IntMatrix",
-    "InvalidSystemError",
-    "InverseSystemSpec",
-    "KernelStructure",
-    "Lim1Class",
-    "ModuleHypothesisError",
-    "NotPrimeError",
-    "PrimeMultiplicity",
-    "STPair",
-    "SixTermSequence",
-    "SpanError",
-    "StructureReport",
-    "TRIVIAL_GROUP",
-    "TaggedGenerator",
-    "TaggedGenerators",
-    "TruncatedPolyRing",
-    "UnsupportedInputError",
-    "ValidatedSystem",
-    "ZERO_DESCRIPTOR",
-    "abelian_surface_picard_rank",
-    "check_binomial_lemma",
-    "check_exact_at",
-    "classify_submodule",
-    "cokernel_structure",
-    "completion_cokernel",
-    "compute_r",
-    "direct_sum",
-    "drop_prefix",
-    "eprofile_from_multipliers",
-    "ext_to_z",
-    "extension_classes",
-    "extension_shape",
-    "finite_coefficients",
-    "finite_coefficients_descriptor",
-    "finite_quotients",
-    "generic_fiber_brauer_corank",
-    "hom_to_z",
-    "invariant_report",
-    "is_free",
-    "is_mittag_leffler",
-    "is_unimodular",
-    "jacobian_example_report",
-    "k3_abelian_structure",
-    "kernel_structure",
-    "lim1_classify",
-    "lim1_mult_p",
-    "lim_structure",
-    "max_p_divisible",
-    "model_corank_relation",
-    "quotient_mod_z",
-    "six_term_mult_p",
-    "smith_normal_form",
-    "tate_module",
-    "unit_power_check",
-    "validate_system",
-    "vp_binomial",
-    "vp_factorial",
-]
+# The import blocks above are the one list of public names.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -81,9 +81,10 @@ _TYPE_CHECKS = {
 
 def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None) -> None:
     """Validate against the subset of JSON Schema used by the published files:
-    oneOf, enum, type, pattern, properties, required, additionalProperties,
-    items, minItems, and local ``$ref`` ("#/$defs/<name>"), looked up in
-    ``defs``, which defaults to the root schema's ``$defs``.
+    oneOf, enum, type, maxLength and pattern (strings only), properties,
+    required, additionalProperties, propertyNames, items, minItems, and local
+    ``$ref`` ("#/$defs/<name>"), looked up in ``defs``, which defaults to the
+    root schema's ``$defs``.  Patterns must match the whole string.
     """
     defs = schema.get("$defs", {}) if defs is None else defs
     if "$ref" in schema:
@@ -109,8 +110,10 @@ def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None)
             types = [types]
         if not any(_TYPE_CHECKS[t](instance) for t in types):
             raise SchemaViolation(f"{path}: expected {' or '.join(types)}")
-    if isinstance(instance, str) and "pattern" in schema:
-        if not re.fullmatch(schema["pattern"], instance):
+    if isinstance(instance, str):
+        if len(instance) > schema.get("maxLength", len(instance)):
+            raise SchemaViolation(f"{path}: expected at most {schema['maxLength']} characters")
+        if "pattern" in schema and not re.fullmatch(schema["pattern"], instance):
             raise SchemaViolation(f"{path}: {instance!r} does not match "
                                   f"{schema['pattern']}")
     if isinstance(instance, dict):
@@ -118,6 +121,9 @@ def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None)
         for key in schema.get("required", ()):
             if key not in instance:
                 raise SchemaViolation(f"{path}: missing required key {key!r}")
+        if "propertyNames" in schema:
+            for key in instance:
+                _validate(key, schema["propertyNames"], path, defs)
         extra = schema.get("additionalProperties", True)
         for key, value in instance.items():
             if key in props:
@@ -377,6 +383,10 @@ def main(argv=None) -> int:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         _emit({"error": {"code": "malformed-json", "message": str(exc)}}, args.output)
+        return 2
+    except ValueError:  # an integer literal past the int-to-str digit limit
+        _emit({"error": {"code": "schema-violation",
+                         "message": "$: integer literal longer than 4300 digits"}}, args.output)
         return 2
 
     try:

@@ -98,31 +98,11 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise DimensionError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, pivot = _bareiss(self.to_rows(), self.cols)
+        return pivot if rank == self.rows else 0
 
     def rank(self) -> int:
-        _, d, _ = smith_normal_form(self)
-        return sum(1 for x in d.diagonal_entries() if x != 0)
+        return _bareiss(self.to_rows(), self.cols)[0]
 
     def to_json(self) -> dict:
         return {
@@ -139,6 +119,40 @@ class IntMatrix:
         if len(ent) != rows or any(len(r) != cols for r in ent):
             raise DimensionError("entry grid does not match declared rows/cols")
         return cls(rows, cols, tuple(x for r in ent for x in r))
+
+
+def _bareiss(a: list[list[int]], cols: int) -> tuple[int, int]:
+    """Fraction-free elimination of the rows ``a`` in place: (rank, signed last pivot).
+
+    After k pivots each entry below them is a (k+1)-minor of the input (Bareiss,
+    Math. Comp. 1968), so every division is exact; a column with no nonzero
+    entry at or below the current row is skipped.  The sign follows the row
+    swaps, so for a square matrix of full rank it is the determinant.
+    """
+    n = len(a)
+    k = 0
+    sign = prev = 1
+    for j in range(cols):
+        if k == n:
+            break
+        piv = k
+        while piv < n and not a[piv][j]:
+            piv += 1
+        if piv == n:
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        p = top[j]
+        for i in range(k + 1, n):
+            row = a[i]
+            x = row[j]
+            for c in range(j + 1, cols):
+                row[c] = (row[c] * p - x * top[c]) // prev
+        prev = p
+        k += 1
+    return k, sign * prev
 
 
 # ---------------------------------------------------------------------------

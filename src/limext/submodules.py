@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .descriptors import GroupDescriptor, PrimeMultiplicity
 from .errors import DomainError, SpanError
 from .fg_groups import GroupStructure, TRIVIAL_GROUP
+from .matrices import IntMatrix
 from .numutil import require_prime
 
 LOCAL = "local"
@@ -120,28 +122,16 @@ class STPair:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra on tuples of Fractions.
-
-
-def _echelon_basis(vectors):
-    """Row-reduce; returns (basis rows in echelon form, pivot columns)."""
-    basis = []
-    pivots = []
-    for vec in vectors:
-        v = list(vec)
-        for row, col in zip(basis, pivots):
-            if v[col]:
-                c = v[col] / row[col]
-                v = [a - c * b for a, b in zip(v, row)]
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is not None:
-            basis.append(v)
-            pivots.append(lead)
-    return basis, pivots
+# Rational rank by one integer elimination.
 
 
 def _rational_rank(vectors) -> int:
-    return len(_echelon_basis(vectors)[0])
+    # Scaling a vector by the lcm of its denominators keeps its Q-line.
+    rows = []
+    for v in vectors:
+        d = lcm(*(x.denominator for x in v))
+        rows.append([x.numerator * (d // x.denominator) for x in v])
+    return IntMatrix.from_rows(rows).rank()
 
 
 def classify_submodule(gens: TaggedGenerators) -> STPair:

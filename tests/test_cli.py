@@ -1,6 +1,10 @@
+import ast
 import io
 import json
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from limext.cli import SUBCOMMANDS, load_schema, main
 
@@ -48,6 +52,25 @@ def test_unknown_schema_request(capsys):
     assert out["error"]["code"] == "schema-violation"
 
 
+_LONG = "9" * 4400
+_TATE = {"op": "tate", "p": "3"}
+
+# Payloads an earlier schema accepted but the library could not read:
+# non-digit map keys, and integers past the 4300-digit int-str limit.
+UNREADABLE = [
+    ("descriptor", json.dumps({**_TATE, "group": {"local": {"abc": "1"}}})),
+    ("descriptor", json.dumps({**_TATE, "group": {"padic": {"abc": "1"}}})),
+    ("descriptor", json.dumps({**_TATE, "group": {"pruefer": {"exceptions": {"abc": "1"}}}})),
+    ("ext-rank1", json.dumps({"op": "ext", "profile": {"exceptions": {"abc": "1"}}})),
+    ("valuation", json.dumps({"op": "factorial", "p": "2", "n": _LONG})),
+    ("snf", json.dumps({"rows": "1", "cols": "1", "entries": [[_LONG]]})),
+    ("classify-submodule", json.dumps({
+        "rank": "1", "prime": "3", "generators": [{"vector": ["1/" + _LONG], "tag": "local"}],
+    })),
+    ("valuation", '{"op":"factorial","p":"2","n":%s}' % _LONG),
+]
+
+
 def test_exit_codes(capsys):
     # Domain error: composite modulus.
     code, out = run_json(capsys, "valuation", '{"op":"lemma","p":"4","n":"1","s":"1"}')
@@ -61,6 +84,16 @@ def test_exit_codes(capsys):
     code, out = run_json(capsys, "valuation", '{"op":"nope","p":"2","n":"1"}')
     assert code == 2
     assert out["error"]["code"] == "schema-violation"
+    # Unreadable keys and over-long integers: a schema violation, no traceback.
+    for cmd, payload in UNREADABLE:
+        code, out = run_json(capsys, cmd, payload)
+        assert code == 2 and out["error"]["code"] == "schema-violation", (cmd, out)
+    assert out["error"]["message"] == "$: integer literal longer than 4300 digits"
+    # 4300 characters is within the bound.
+    code, out = run_json(capsys, "snf", json.dumps({
+        "rows": "1", "cols": "1", "entries": [["-" + _LONG[:4299]]],
+    }))
+    assert code == 0 and out["D"]["entries"] == [[_LONG[:4299]]]
     # No subcommand: usage on stderr, nothing on stdout.
     code = main([])
     captured = capsys.readouterr()
@@ -457,3 +490,98 @@ def test_results_reparse_under_schema_types(capsys):
             assert node is None or isinstance(node, (str, bool, int))
 
     walk(data)
+
+
+def _literal_payloads():
+    """(subcommand, payload) for each run/run_json call in this file whose
+    payload is a JSON literal, json.dumps of a literal, or a local name bound
+    to either; plus UNREADABLE."""
+
+    def literal(arg, names):
+        if isinstance(arg, ast.Name):
+            return names.get(arg.id)
+        try:
+            if isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "dumps":
+                return ast.literal_eval(arg.args[0])
+            if isinstance(arg, ast.Constant):
+                return json.loads(arg.value)
+        except ValueError:
+            return None     # built from names, or deliberately malformed JSON
+
+    out = [(cmd, json.loads(text)) for cmd, text in UNREADABLE[:-1]]
+    for func in ast.parse(Path(__file__).read_text()).body:
+        names = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                names[node.targets[0].id] = literal(node.value, {})
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("run", "run_json")
+                  and len(node.args) == 3
+                  and getattr(node.args[1], "value", None) in SUBCOMMANDS):
+                payload = literal(node.args[2], names)
+                if payload is not None:
+                    out.append((node.args[1].value, payload))
+    return out
+
+
+_BAD_LEAVES = ("x", "-1", -1, 1.5, True, None, [], {}, "9" * 4301)
+# Known divergences, where _validate is the stricter one: jsonschema counts an
+# integral float as an integer, and its patterns use re.search, so "$" also
+# matches before a trailing newline.
+_DIVERGENT_LEAVES = (2.0, "12\n")
+
+
+def _mutations(node):
+    """Copies of node with one change each: a key deleted, renamed to a
+    non-digit key or added, or a leaf replaced."""
+    if isinstance(node, dict):
+        for key in node:
+            yield {k: v for k, v in node.items() if k != key}
+            yield {("x" + k if k == key else k): v for k, v in node.items()}
+            for sub in _mutations(node[key]):
+                yield {**node, key: sub}
+        yield {**node, "extra": "1"}
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            for sub in _mutations(item):
+                yield node[:i] + [sub] + node[i + 1:]
+    else:
+        yield from _BAD_LEAVES + _DIVERGENT_LEAVES
+        if isinstance(node, str) and node.isdigit():
+            yield "9" * 4300
+
+
+def _contains(node, leaf):
+    if isinstance(node, dict):
+        return any(_contains(v, leaf) for v in node.values())
+    if isinstance(node, list):
+        return any(_contains(v, leaf) for v in node)
+    return type(node) is type(leaf) and node == leaf
+
+
+def test_validate_agrees_with_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    from limext.cli import SchemaViolation, _validate
+
+    def ours(instance, schema):
+        try:
+            _validate(instance, schema)
+            return True
+        except SchemaViolation:
+            return False
+
+    payloads = _literal_payloads()
+    assert {cmd for cmd, _ in payloads} == set(SUBCOMMANDS)
+    agreed, divergent = Counter(), Counter()
+    for cmd, payload in payloads:
+        schema = load_schema(cmd)
+        theirs = jsonschema.Draft202012Validator(schema).is_valid
+        for instance in [payload, *_mutations(payload)]:
+            mine = ours(instance, schema)
+            if mine == theirs(instance):
+                agreed[mine] += 1
+                continue
+            leaves = [leaf for leaf in _DIVERGENT_LEAVES if _contains(instance, leaf)]
+            assert not mine and leaves, (cmd, instance)
+            divergent[repr(leaves[0])] += 1
+    assert agreed[True] > 200 and agreed[False] > 2000
+    assert set(divergent) == {repr(leaf) for leaf in _DIVERGENT_LEAVES}

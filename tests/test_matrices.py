@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -196,13 +197,55 @@ def test_exactness_on_constructed_exact_sequences():
             assert check_exact_at(f, smaller) is False
 
 
+def _low_rank_matrix(rng, rows, cols):
+    # Later rows are combinations of earlier ones, and some columns vanish.
+    ent = random_matrix(rng, rows, cols, bound=9).to_rows()
+    for i in range(1, rows):
+        if rng.random() < 0.5:
+            a, b = rng.randrange(i), rng.randrange(i)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            ent[i] = [s * x + t * y for x, y in zip(ent[a], ent[b])]
+    for j in range(cols):
+        if rng.random() < 0.3:
+            for row in ent:
+                row[j] = 0
+    return IntMatrix(rows, cols, tuple(x for row in ent for x in row))
+
+
+def _leibniz_determinant(m):
+    # Sum over permutations, each signed by its inversion count.
+    total = 0
+    for perm in permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(m.rows), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m.at(i, j)
+        total += term
+    return total
+
+
+def test_rank_matches_snf_on_rank_deficient_matrices():
+    rng = random.Random(2718)
+    deficient = 0
+    for _ in range(300):
+        m = _low_rank_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+        _, d, _ = smith_normal_form(m)
+        rank = sum(1 for x in d.diagonal_entries() if x != 0)
+        assert m.rank() == rank
+        deficient += rank < min(m.rows, m.cols)
+    assert deficient > 100
+
+
 def test_determinant_matches_snf_product():
     rng = random.Random(97)
-    for _ in range(30):
+    for k in range(200):
         n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n, bound=9)
+        m = random_matrix(rng, n, n, bound=9) if k % 2 else _low_rank_matrix(rng, n, n)
         _, d, _ = smith_normal_form(m)
         prod = 1
         for x in d.diagonal_entries():
             prod *= x
-        assert prod == abs(m.determinant())
+        det = m.determinant()
+        assert prod == abs(det)
+        assert det == _leibniz_determinant(m)
+    assert IntMatrix(0, 0, ()).determinant() == 1
