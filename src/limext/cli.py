@@ -9,6 +9,9 @@ yields byte-identical output.
 
 Exit codes: 0 success, 1 domain error (structured error JSON), 2 malformed
 input (bad JSON or schema violation).
+
+Importing this module runs no library module: each handler imports what it
+uses, so a cold call runs only the modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -19,45 +22,6 @@ import re
 import sys
 from importlib import resources
 
-from .descriptors import GroupDescriptor
-from .errors import DomainError
-from .fg_groups import (
-    GroupPresentation,
-    GroupStructure,
-    cokernel_structure,
-    direct_sum,
-    finite_coefficients,
-)
-from .functors import (
-    completion_cokernel,
-    extension_classes,
-    finite_coefficients_descriptor,
-    lim1_mult_p,
-    max_p_divisible,
-    six_term_mult_p,
-    tate_module,
-)
-from .invariants import (
-    BrauerInvariants,
-    abelian_surface_picard_rank,
-    compute_r,
-    generic_fiber_brauer_corank,
-    invariant_report,
-    jacobian_example_report,
-    k3_abelian_structure,
-    model_corank_relation,
-)
-from .inverse_systems import (
-    InverseSystemSpec,
-    is_mittag_leffler,
-    lim1_classify,
-    lim_structure,
-    validate_system,
-)
-from .matrices import IntMatrix, check_exact_at, smith_normal_form
-from .rank1 import EProfile, eprofile_from_multipliers, ext_to_z, hom_to_z, is_free, quotient_mod_z
-from .submodules import TaggedGenerators, classify_submodule
-from .valuations import TruncatedPolyRing, check_binomial_lemma, unit_power_check, vp_binomial, vp_factorial
 
 class SchemaViolation(Exception):
     pass
@@ -146,12 +110,23 @@ def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None)
 
 
 def _run_snf(payload):
+    from .matrices import IntMatrix, smith_normal_form
+
     m = IntMatrix.from_json(payload)
     u, d, v = smith_normal_form(m)
     return {"U": u.to_json(), "D": d.to_json(), "V": v.to_json()}
 
 
 def _run_group(payload):
+    from .fg_groups import (
+        GroupPresentation,
+        GroupStructure,
+        cokernel_structure,
+        direct_sum,
+        finite_coefficients,
+    )
+    from .matrices import IntMatrix, check_exact_at
+
     op = payload["op"]
     if op == "cokernel":
         return {"result": cokernel_structure(IntMatrix.from_json(payload["matrix"])).to_json()}
@@ -175,6 +150,18 @@ def _run_group(payload):
 
 
 def _run_descriptor(payload):
+    from .descriptors import GroupDescriptor
+    from .fg_groups import GroupStructure
+    from .functors import (
+        completion_cokernel,
+        extension_classes,
+        finite_coefficients_descriptor,
+        lim1_mult_p,
+        max_p_divisible,
+        six_term_mult_p,
+        tate_module,
+    )
+
     op = payload["op"]
     if op == "extension-classes":
         classes = extension_classes(
@@ -203,6 +190,14 @@ def _run_descriptor(payload):
 
 
 def _run_lim1(payload):
+    from .inverse_systems import (
+        InverseSystemSpec,
+        is_mittag_leffler,
+        lim1_classify,
+        lim_structure,
+        validate_system,
+    )
+
     spec = InverseSystemSpec.from_json(payload)
     validated = validate_system(spec)
     strategy = payload.get("strategy", "recursive")
@@ -219,10 +214,21 @@ def _run_lim1(payload):
 
 
 def _run_ml(payload):
+    from .inverse_systems import InverseSystemSpec, is_mittag_leffler
+
     return {"mittag_leffler": is_mittag_leffler(InverseSystemSpec.from_json(payload))}
 
 
 def _run_ext_rank1(payload):
+    from .rank1 import (
+        EProfile,
+        eprofile_from_multipliers,
+        ext_to_z,
+        hom_to_z,
+        is_free,
+        quotient_mod_z,
+    )
+
     op = payload["op"]
     if op == "from-multipliers":
         profile = eprofile_from_multipliers(
@@ -243,11 +249,21 @@ def _run_ext_rank1(payload):
 
 
 def _run_classify_submodule(payload):
+    from .submodules import TaggedGenerators, classify_submodule
+
     pair = classify_submodule(TaggedGenerators.from_json(payload))
     return {"result": pair.to_json()}
 
 
 def _run_valuation(payload):
+    from .valuations import (
+        TruncatedPolyRing,
+        check_binomial_lemma,
+        unit_power_check,
+        vp_binomial,
+        vp_factorial,
+    )
+
     op = payload["op"]
     p = int(payload["p"])
     if op == "factorial":
@@ -263,6 +279,17 @@ def _run_valuation(payload):
 
 
 def _run_brauer(payload):
+    from .invariants import (
+        BrauerInvariants,
+        abelian_surface_picard_rank,
+        compute_r,
+        generic_fiber_brauer_corank,
+        invariant_report,
+        jacobian_example_report,
+        k3_abelian_structure,
+        model_corank_relation,
+    )
+
     op = payload.get("op", "report")
     if op == "report":
         return invariant_report(BrauerInvariants.from_json(payload)).to_json()
@@ -294,6 +321,8 @@ def _run_brauer(payload):
 
 
 def _run_report(payload):
+    from .invariants import BrauerInvariants, invariant_report
+
     report = invariant_report(BrauerInvariants.from_json(payload))
     return {"report": report.to_json(), "summary": report.summary()}
 
@@ -384,6 +413,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         _emit({"error": {"code": "malformed-json", "message": str(exc)}}, args.output)
         return 2
+    except RecursionError:  # arrays or objects nested past the parser's depth limit
+        _emit({"error": {"code": "malformed-json",
+                         "message": "$: nesting too deep to parse"}}, args.output)
+        return 2
     except ValueError:  # an integer literal past the int-to-str digit limit
         _emit({"error": {"code": "schema-violation",
                          "message": "$: integer literal longer than 4300 digits"}}, args.output)
@@ -394,6 +427,8 @@ def main(argv=None) -> int:
     except SchemaViolation as exc:
         _emit({"error": {"code": "schema-violation", "message": str(exc)}}, args.output)
         return 2
+
+    from .errors import DomainError
 
     try:
         result = _HANDLERS[args.subcommand](payload)

@@ -28,14 +28,13 @@ continuum multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import record
 from .errors import DomainError
 from .fg_groups import GroupStructure
 from .numutil import require_prime
 
 
-@dataclass(frozen=True)
+@record
 class ExtCardinal:
     """A finite count or the cardinality of the continuum (value None).
 
@@ -89,7 +88,7 @@ def as_cardinal(x) -> ExtCardinal:
     return ExtCardinal(int(x))
 
 
-@dataclass(frozen=True)
+@record
 class PrimeMultiplicity:
     """A function prime -> ExtCardinal with finite description.
 
@@ -201,14 +200,14 @@ class PrimeMultiplicity:
 ZERO_MULTIPLICITY = PrimeMultiplicity()
 
 
-@dataclass(frozen=True)
+@record
 class GroupDescriptor:
     free_rank: int = 0
     cyclic: tuple[int, ...] = ()
     local: tuple[tuple[int, int], ...] = ()
     inverted: tuple[tuple[tuple[int, ...], int], ...] = ()
     rational: ExtCardinal = ZERO_CARDINAL
-    pruefer: PrimeMultiplicity = field(default_factory=PrimeMultiplicity)
+    pruefer: PrimeMultiplicity = ZERO_MULTIPLICITY
     padic: tuple[tuple[int, int], ...] = ()
 
     @classmethod
@@ -222,7 +221,7 @@ class GroupDescriptor:
         pruefer=None,
         padic=None,
     ) -> "GroupDescriptor":
-        """Normalizing constructor; use this instead of the raw dataclass.
+        """Normalizing constructor; use this instead of the raw record.
 
         >>> GroupDescriptor.build(cyclic=[2, 3]).cyclic
         (6,)

@@ -9,15 +9,15 @@ normalized fields and no isomorphism testing is ever needed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, prod
 
+from ._record import record
 from .errors import DimensionError, DomainError
 from .matrices import IntMatrix, smith_normal_form
 from .numutil import is_prime, prime_to_p_part, vp
 
 
-@dataclass(frozen=True)
+@record
 class GroupStructure:
     """Isomorphism type of a finitely generated abelian group.
 
@@ -179,7 +179,7 @@ def _coprime_base(orders) -> list[int]:
     return base
 
 
-@dataclass(frozen=True)
+@record
 class GroupPresentation:
     """A group given by generators and integer relation rows.
 

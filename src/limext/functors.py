@@ -14,8 +14,7 @@ exact sequence, computed by :func:`six_term_mult_p`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from ._record import record, replace
 from .descriptors import (
     CONTINUUM,
     GroupDescriptor,
@@ -149,7 +148,7 @@ def lim1_mult_p(g: GroupDescriptor, p: int) -> GroupDescriptor:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class SixTermSequence:
     """The six-term exact sequence of the multiplication-by-p system.
 

@@ -22,8 +22,7 @@ proven case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from ._record import record, replace
 from .errors import DomainError, InconsistentInputsError
 from .numutil import require_prime
 from .submodules import KernelStructure, kernel_structure
@@ -136,7 +135,7 @@ def abelian_surface_picard_rank(
     return 4 if count1 == count2 else 2
 
 
-@dataclass(frozen=True)
+@record
 class BrauerInvariants:
     """Arithmetic inputs for the structure formulas.
 
@@ -212,7 +211,7 @@ class BrauerInvariants:
         )
 
 
-@dataclass(frozen=True)
+@record
 class StructureReport:
     """Everything the formulas determine from a set of invariants."""
 

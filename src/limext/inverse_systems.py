@@ -16,9 +16,9 @@ with a clear diagnostic at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
+from ._record import record
 from .descriptors import (
     CONTINUUM,
     ExtCardinal,
@@ -33,7 +33,7 @@ from .numutil import prime_factors
 from .rank1 import eprofile_from_multipliers, ext_to_z
 
 
-@dataclass(frozen=True)
+@record
 class InverseSystemSpec:
     """A constant-rank inverse system: matrix prefix plus periodic diagonal tail.
 
@@ -87,7 +87,7 @@ class InverseSystemSpec:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ValidatedSystem:
     """A system spec with checked invariants and cokernel metadata attached."""
 
@@ -198,7 +198,7 @@ def is_mittag_leffler(system) -> bool:
     return not any(_as_validated(system).coordinate_primes)
 
 
-@dataclass(frozen=True)
+@record
 class Lim1Class:
     """Isomorphism class of a derived limit: Q^rational + Pruefer summands.
 

@@ -6,12 +6,11 @@ floating point.  Matrices are immutable; row-major entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import DimensionError
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """An immutable rows x cols integer matrix, entries in row-major order.
 

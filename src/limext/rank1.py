@@ -15,8 +15,8 @@ one Pruefer summand for every prime with finite exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .descriptors import CONTINUUM, GroupDescriptor, PrimeMultiplicity
 from .errors import DomainError, UnsupportedInputError
 from .fg_groups import GroupStructure
@@ -34,7 +34,7 @@ def _normalize_exponent(e) -> int | float:
     return max(e, 0)
 
 
-@dataclass(frozen=True)
+@record
 class EProfile:
     """Exponent function p -> e_p describing a rank-1 subgroup of Q.
 

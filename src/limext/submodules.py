@@ -19,10 +19,10 @@ never given an invented order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import record
 from .descriptors import GroupDescriptor, PrimeMultiplicity
 from .errors import DomainError, SpanError
 from .fg_groups import GroupStructure, TRIVIAL_GROUP
@@ -33,7 +33,7 @@ LOCAL = "local"
 DIVISIBLE = "divisible"
 
 
-@dataclass(frozen=True)
+@record
 class TaggedGenerator:
     vector: tuple[Fraction, ...]
     tag: str
@@ -45,7 +45,7 @@ class TaggedGenerator:
             raise DomainError("generators must be nonzero")
 
 
-@dataclass(frozen=True)
+@record
 class TaggedGenerators:
     """Finitely many tagged generators of a submodule of Q^rank.
 
@@ -66,7 +66,10 @@ class TaggedGenerators:
         prime = require_prime(int(prime))
         gens = []
         for vec, tag in generators:
-            vec = tuple(Fraction(x) for x in vec)
+            try:
+                vec = tuple(Fraction(x) for x in vec)
+            except ZeroDivisionError:
+                raise DomainError("generator coordinates must have nonzero denominators") from None
             if len(vec) != rank:
                 raise DomainError(
                     f"generator has {len(vec)} coordinates, expected {rank}"
@@ -100,7 +103,7 @@ class TaggedGenerators:
         )
 
 
-@dataclass(frozen=True)
+@record
 class STPair:
     """The invariants of an extension of Q^t by Z_(p)^s, plus finite data.
 
@@ -179,7 +182,7 @@ def extension_shape(r: int, s: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@record
 class KernelStructure:
     """Structure of the kernel of reduction to the special fiber.
 

@@ -9,8 +9,7 @@ x divisible by p) to the power p^(n+s) kills every cross term once p^s >= n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import DomainError
 from .numutil import require_prime
 
@@ -73,7 +72,7 @@ def check_binomial_lemma(p: int, n: int, s: int) -> bool:
     return all(vp_binomial(p, z, u) > n for u in range(1, p ** s))
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedPolyRing:
     """The ring (Z/p^n)[y] / (y^(degree_bound+1)).
 

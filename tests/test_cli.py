@@ -89,6 +89,14 @@ def test_exit_codes(capsys):
         code, out = run_json(capsys, cmd, payload)
         assert code == 2 and out["error"]["code"] == "schema-violation", (cmd, out)
     assert out["error"]["message"] == "$: integer literal longer than 4300 digits"
+    # A zero denominator is a schema violation, not a ZeroDivisionError.
+    code, out = run_json(capsys, "classify-submodule", json.dumps({
+        "rank": "1", "prime": "3", "generators": [{"vector": ["1/0"], "tag": "local"}],
+    }))
+    assert code == 2 and out["error"]["code"] == "schema-violation"
+    # Nesting past the JSON parser's depth limit is malformed JSON, not a RecursionError.
+    code, out = run_json(capsys, "snf", "[" * 5000)
+    assert code == 2 and out["error"]["code"] == "malformed-json"
     # 4300 characters is within the bound.
     code, out = run_json(capsys, "snf", json.dumps({
         "rows": "1", "cols": "1", "entries": [["-" + _LONG[:4299]]],

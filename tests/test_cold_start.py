@@ -1,0 +1,81 @@
+"""What importing the package and the CLI runs, checked in fresh interpreters."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import limext
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LIBRARY = ("errors", "numutil", "matrices", "fg_groups", "descriptors", "functors", "rank1",
+           "inverse_systems", "submodules", "valuations", "invariants")
+
+# The public names of the package before it became lazy.
+PUBLIC = [
+    "BrauerInvariants", "CONTINUUM", "ContinuumError", "DimensionError", "DomainError",
+    "EProfile", "ExtCardinal", "GroupDescriptor", "GroupPresentation", "GroupStructure",
+    "INFINITE", "InconsistentInputsError", "IntMatrix", "InvalidSystemError",
+    "InverseSystemSpec", "KernelStructure", "Lim1Class", "ModuleHypothesisError",
+    "NotPrimeError", "PrimeMultiplicity", "STPair", "SixTermSequence", "SpanError",
+    "StructureReport", "TRIVIAL_GROUP", "TaggedGenerator", "TaggedGenerators",
+    "TruncatedPolyRing", "UnsupportedInputError", "ValidatedSystem", "ZERO_DESCRIPTOR",
+    "abelian_surface_picard_rank", "check_binomial_lemma", "check_exact_at",
+    "classify_submodule", "cokernel_structure", "completion_cokernel", "compute_r",
+    "direct_sum", "drop_prefix", "eprofile_from_multipliers", "ext_to_z", "extension_classes",
+    "extension_shape", "finite_coefficients", "finite_coefficients_descriptor",
+    "finite_quotients", "generic_fiber_brauer_corank", "hom_to_z", "invariant_report",
+    "is_free", "is_mittag_leffler", "is_unimodular", "jacobian_example_report",
+    "k3_abelian_structure", "kernel_structure", "lim1_classify", "lim1_mult_p",
+    "lim_structure", "max_p_divisible", "model_corank_relation", "quotient_mod_z",
+    "six_term_mult_p", "smith_normal_form", "tate_module", "unit_power_check",
+    "validate_system", "vp_binomial", "vp_factorial",
+]
+
+# Prints, as JSON, which library modules have run after each step.  A lazily
+# loaded module is an instance of a ModuleType subclass until it runs.
+PROBE = """
+import io, json, sys, types
+from contextlib import redirect_stdout
+LIBRARY = %r
+
+def ran():
+    return [m for m in LIBRARY if type(sys.modules["limext." + m]) is types.ModuleType]
+
+had_dataclasses = "dataclasses" in sys.modules
+import limext.cli
+steps = {"import": ran(), "dataclasses": "dataclasses" in sys.modules and not had_dataclasses}
+with redirect_stdout(io.StringIO()):
+    code = limext.cli.main(["valuation", '{"op":"factorial","p":"2","n":"10"}'])
+steps["valuation"] = ran() if code == 0 else code
+print(json.dumps(steps))
+""" % (LIBRARY,)
+
+
+def test_cli_import_runs_no_library_module():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    steps = json.loads(proc.stdout)
+    assert steps == {"import": [], "dataclasses": False,
+                     "valuation": ["errors", "numutil", "valuations"]}
+
+
+def test_no_library_module_imports_dataclasses():
+    for path in (SRC / "limext").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert all(a.name != "dataclasses" for a in node.names), path
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path
+
+
+def test_star_import_gives_the_public_names():
+    namespace = {}
+    exec("from limext import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC == limext.__all__
+    for name in PUBLIC:
+        assert namespace[name] is getattr(limext, name)

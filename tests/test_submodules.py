@@ -91,6 +91,8 @@ def test_classify_generator_validation():
         build(2, 4, [([1, 0], "local")])
     with pytest.raises(DomainError):
         build(2, 3, [([1], "local")])
+    with pytest.raises(DomainError, match="nonzero denominators"):
+        build(2, 3, [(["1/0", "1"], "local")])
 
 
 def test_classify_invariances():
