@@ -54,3 +54,10 @@ class UnsupportedInputError(DomainError):
 
 class InconsistentInputsError(DomainError):
     code = "inconsistent-inputs"
+
+
+class BudgetExceededError(DomainError):
+    """The input is valid, but the computation it asks for is refused as too
+    large before any work starts."""
+
+    code = "budget-exceeded"

@@ -13,7 +13,7 @@ from math import gcd, prod
 
 from ._record import record
 from .errors import DimensionError, DomainError
-from .matrices import IntMatrix, smith_normal_form
+from .matrices import IntMatrix, smith_diagonal
 from .numutil import is_prime, prime_to_p_part, vp
 
 
@@ -215,8 +215,7 @@ def cokernel_structure(m: IntMatrix) -> GroupStructure:
     >>> cokernel_structure(IntMatrix.zero(2, 3)).free_rank
     2
     """
-    _, d, _ = smith_normal_form(m)
-    diag = d.diagonal_entries()
+    diag = smith_diagonal(m)
     rank = sum(1 for x in diag if x != 0)
     return GroupStructure(
         free_rank=m.rows - rank,

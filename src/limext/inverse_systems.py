@@ -30,7 +30,7 @@ from .errors import DomainError, InvalidSystemError
 from .fg_groups import GroupStructure
 from .matrices import IntMatrix
 from .numutil import prime_factors
-from .rank1 import eprofile_from_multipliers, ext_to_z
+from .rank1 import INFINITE, EProfile, ext_to_z
 
 
 @record
@@ -60,9 +60,6 @@ class InverseSystemSpec:
             ),
             tail_diagonals=tuple(tuple(int(d) for d in vec) for vec in tail),
         )
-
-    def coordinate_period(self, j: int) -> tuple[int, ...]:
-        return tuple(vec[j] for vec in self.tail_diagonals)
 
     def to_json(self) -> dict:
         return {
@@ -130,15 +127,18 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
     # A diagonal cokernel has the prime support of its entries, so each
     # distinct tail entry is factored, never their product.
     to_factor = set(orders)
+    entries = []
     for vec in spec.tail_diagonals:
         if len(vec) != r:
             raise InvalidSystemError(
                 f"tail diagonal has length {len(vec)}, expected {r}"
             )
-        if any(d == 0 for d in vec):
+        if 0 in vec:
             raise InvalidSystemError("tail diagonal entries must be nonzero")
-        orders.append(prod(abs(d) for d in vec))
-        to_factor.update(abs(d) for d in vec)
+        step = list(map(abs, vec))
+        entries.append(step)
+        orders.append(prod(step))
+        to_factor.update(step)
     primes = {n: frozenset(prime_factors(n) if n > 1 else ()) for n in to_factor}
     support = frozenset().union(*primes.values())
     return ValidatedSystem(
@@ -146,10 +146,10 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
         cokernel_orders=tuple(orders),
         cokernel_prime_support=tuple(sorted(support)),
         p_group_prime=next(iter(support)) if len(support) == 1 else None,
-        coordinate_primes=tuple(
-            frozenset().union(*(primes[abs(d)] for d in col))
-            for col in zip(*spec.tail_diagonals)
-        ),
+        # Per coordinate, the union of its entries' primes over the period.
+        coordinate_primes=tuple(map(
+            frozenset.union, *(map(primes.__getitem__, step) for step in entries)
+        )),
     )
 
 
@@ -257,6 +257,9 @@ def lim1_classify(system, strategy: str = "recursive") -> Lim1Class:
       limit of that coordinate; the Ext groups are added with
       :meth:`GroupDescriptor.total`.
 
+    Both read each coordinate's primes from :func:`validate_system`, which
+    factors every distinct tail entry once.
+
     The prefix never contributes: dropping finitely many stages is cofinal.
 
     >>> c = lim1_classify(InverseSystemSpec.build(1, [], [[5]]))
@@ -272,7 +275,7 @@ def lim1_classify(system, strategy: str = "recursive") -> Lim1Class:
     if strategy == "recursive":
         return _classify_recursive(v.coordinate_primes)
     if strategy == "ext_oracle":
-        return _classify_ext_oracle(v.spec)
+        return _classify_ext_oracle(v.coordinate_primes)
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
@@ -301,8 +304,12 @@ def _classify_recursive(coordinate_primes) -> Lim1Class:
     )
 
 
-def _classify_ext_oracle(spec: InverseSystemSpec) -> Lim1Class:
+def _classify_ext_oracle(coordinate_primes) -> Lim1Class:
+    # The dual of a coordinate is the colimit of Z along its multipliers,
+    # Z[S^-1] with S the primes dividing them (see eprofile_from_multipliers).
+    # validate_system has found and proven S, so the profile is built
+    # directly instead of factoring the multipliers again.
     return Lim1Class.from_descriptor(GroupDescriptor.total(
-        ext_to_z(eprofile_from_multipliers([], spec.coordinate_period(j)))
-        for j in range(spec.rank)
+        ext_to_z(EProfile(0, tuple((p, INFINITE) for p in sorted(primes))))
+        for primes in coordinate_primes
     ))

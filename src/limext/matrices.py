@@ -157,34 +157,12 @@ def _bareiss(a: list[list[int]], cols: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Smith normal form.
 #
-# Row operations act on the left accumulator U, column operations on the
-# right accumulator V, so U @ M @ V == D is an invariant of the loop.
-
-
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
-
-def _add_row(a, dst, src, q):
-    row_s = a[src]
-    row_d = a[dst]
-    for k in range(len(row_d)):
-        row_d[k] += q * row_s[k]
-
-
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(a, dst, src, q):
-    for row in a:
-        row[dst] += q * row[src]
-
-
-def _negate_col(a, j):
-    for row in a:
-        row[j] = -row[j]
+# One loop serves both entries.  Row operations are repeated on the left
+# accumulator U and column operations on the right accumulator V when they
+# are given, so U @ M @ V == D is an invariant of the loop; without them only
+# D is reduced.  V is held transposed, so that its column operations are row
+# operations too.  At round t the rows and columns before t are finished:
+# their entries in the trailing block are zero, so only d[t:][t:] is touched.
 
 
 def _div_nearest(a: int, b: int) -> int:
@@ -196,15 +174,98 @@ def _div_nearest(a: int, b: int) -> int:
     return q
 
 
+def _smith_loop(d: list[list[int]], u: list[list[int]] | None = None,
+                vt: list[list[int]] | None = None) -> None:
+    """Reduce the rows ``d`` in place to Smith normal form; ``u`` and ``vt``
+    (V transposed) accumulate the operations when given.
+
+    At every round the pivot is re-chosen as the entry of minimal nonzero
+    absolute value in the trailing block (the first one in row-major order),
+    which guarantees termination (the pivot strictly shrinks until the cross
+    clears) and keeps coefficients small.  The sign of a negative pivot is
+    absorbed into V.
+    """
+    nr = len(d)
+    nc = len(d[0]) if nr else 0
+    for t in range(min(nr, nc)):
+        if not _move_min_to_pivot(d, t, u, vt):
+            break
+        top = d[t]
+        while True:
+            # One reduction sweep of the pivot cross; remainders are at most
+            # half the pivot, and the next round promotes the smallest one.
+            # The row operations all read row t and the column operations
+            # column t, so each sweep's quotients can be taken up front.
+            piv = top[t]
+            rows = [(i, _div_nearest(d[i][t], piv)) for i in range(t + 1, nr) if d[i][t]]
+            for i, q in rows:
+                row = d[i]
+                row[t:] = [x - q * y for x, y in zip(row[t:], top[t:])]
+                if u is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            cols = [(j, _div_nearest(top[j], piv)) for j in range(t + 1, nc) if top[j]]
+            if cols:
+                for row in d[t:]:
+                    x = row[t]
+                    if x:
+                        for j, q in cols:
+                            row[j] -= q * x
+                if vt is not None:
+                    for j, q in cols:
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+            if any(d[i][t] for i in range(t + 1, nr)) or any(top[t + 1:]):
+                # The cross is not clear: promote the smallest remainder.
+                _move_min_to_pivot(d, t, u, vt)
+                top = d[t]
+                continue
+            # Divisibility sweep: fold a non-divisible trailing entry into
+            # the pivot row; reducing it replaces the pivot by a proper
+            # divisor (a nonzero remainder modulo the old pivot).
+            bad = next((i for i in range(t + 1, nr)
+                        if any(map(piv.__rmod__, d[i][t + 1:]))), None)
+            if bad is None:
+                break
+            top[t:] = [x + y for x, y in zip(top[t:], d[bad][t:])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+        if top[t] < 0:
+            top[t] = -top[t]
+            if vt is not None:
+                vt[t] = [-x for x in vt[t]]
+
+
+def _move_min_to_pivot(d, t, u, vt) -> bool:
+    # The first entry of least nonzero absolute value in row-major order.
+    best = 0
+    for k in range(t, len(d)):
+        least = min(map(abs, filter(None, d[k][t:])), default=0)
+        if least and (not best or least < best):
+            best, i = least, k
+            if best == 1:
+                break
+    if not best:
+        return False
+    j = t + list(map(abs, d[i][t:])).index(best)
+    if i != t:
+        d[t], d[i] = d[i], d[t]
+        if u is not None:
+            u[t], u[i] = u[i], u[t]
+    if j != t:
+        for row in d[t:]:
+            row[t], row[j] = row[j], row[t]
+        if vt is not None:
+            vt[t], vt[j] = vt[j], vt[t]
+    return True
+
+
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms: returns (U, D, V) with U @ m @ V == D.
 
     U and V are unimodular, D is diagonal with nonnegative entries satisfying
-    the divisibility chain d1 | d2 | ... .  At every round the pivot is
-    re-chosen as the entry of minimal nonzero absolute value in the trailing
-    block, which guarantees termination (the pivot strictly shrinks until the
-    cross clears) and keeps coefficients small.  The sign of a negative pivot
-    is absorbed into V, so D's diagonal is the canonical one.
+    the divisibility chain d1 | d2 | ... .  The pivot is re-chosen each round
+    as the smallest nonzero entry of the trailing block, and a negative
+    pivot's sign is absorbed into V, so D's diagonal is the canonical one.
+    Callers that need only the diagonal use :func:`smith_diagonal`.
 
     >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
     >>> u, d, v = smith_normal_form(m)
@@ -216,76 +277,27 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     nr, nc = m.rows, m.cols
     d = m.to_rows()
     u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
-
-    def move_min_to_pivot(t: int) -> bool:
-        best = None
-        pos = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pos = (i, j)
-        if pos is None:
-            return False
-        if pos[0] != t:
-            _swap_rows(d, t, pos[0])
-            _swap_rows(u, t, pos[0])
-        if pos[1] != t:
-            _swap_cols(d, t, pos[1])
-            _swap_cols(v, t, pos[1])
-        return True
-
-    t = 0
-    while t < min(nr, nc):
-        if not move_min_to_pivot(t):
-            break
-        while True:
-            # One reduction sweep of the pivot cross; remainders are at most
-            # half the pivot, and the next round promotes the smallest one.
-            for i in range(t + 1, nr):
-                if d[i][t]:
-                    q = _div_nearest(d[i][t], d[t][t])
-                    _add_row(d, i, t, -q)
-                    _add_row(u, i, t, -q)
-            for j in range(t + 1, nc):
-                if d[t][j]:
-                    q = _div_nearest(d[t][j], d[t][t])
-                    _add_col(d, j, t, -q)
-                    _add_col(v, j, t, -q)
-            cross_clear = all(d[i][t] == 0 for i in range(t + 1, nr)) and all(
-                d[t][j] == 0 for j in range(t + 1, nc)
-            )
-            if not cross_clear:
-                move_min_to_pivot(t)
-                continue
-            # Divisibility sweep: fold a non-divisible trailing entry into
-            # the pivot row; reducing it replaces the pivot by a proper
-            # divisor (a nonzero remainder modulo the old pivot).
-            piv = d[t][t]
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if d[i][j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            _add_row(d, t, bad, 1)
-            _add_row(u, t, bad, 1)
-        if d[t][t] < 0:
-            _negate_col(d, t)
-            _negate_col(v, t)
-        t += 1
-
+    vt = IntMatrix.identity(nc).to_rows()
+    _smith_loop(d, u, vt)
     return (
         IntMatrix.from_rows(u) if nr else IntMatrix.zero(0, 0),
         IntMatrix.from_rows(d) if nr else IntMatrix.zero(0, nc),
-        IntMatrix.from_rows(v) if nc else IntMatrix.zero(0, 0),
+        IntMatrix.from_rows(vt).transpose() if nc else IntMatrix.zero(0, 0),
     )
+
+
+def smith_diagonal(m: IntMatrix) -> list[int]:
+    """The diagonal of the Smith normal form of m, without U and V.
+
+    The same loop as :func:`smith_normal_form`, run on D alone, so the
+    result is ``smith_normal_form(m)[1].diagonal_entries()``.
+
+    >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    [2, 4]
+    """
+    d = m.to_rows()
+    _smith_loop(d)
+    return [d[i][i] for i in range(min(m.rows, m.cols))]
 
 
 def is_unimodular(m: IntMatrix) -> bool:
@@ -316,9 +328,8 @@ def check_exact_at(f: IntMatrix, g: IntMatrix) -> bool:
         )
     if not (g @ f).is_zero():
         return False
-    _, df, _ = smith_normal_form(f)
-    rank_f = sum(1 for x in df.diagonal_entries() if x != 0)
-    rank_g = g.rank()
-    if rank_f + rank_g != f.rows:
+    diag = smith_diagonal(f)
+    rank_f = sum(1 for x in diag if x != 0)
+    if rank_f + g.rank() != f.rows:
         return False
-    return all(x in (0, 1) for x in df.diagonal_entries())
+    return all(x in (0, 1) for x in diag)

@@ -17,12 +17,20 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .descriptors import CONTINUUM, GroupDescriptor, PrimeMultiplicity
+from .descriptors import (
+    CONTINUUM,
+    ZERO_CARDINAL,
+    ZERO_DESCRIPTOR,
+    ExtCardinal,
+    GroupDescriptor,
+    PrimeMultiplicity,
+)
 from .errors import DomainError, UnsupportedInputError
 from .fg_groups import GroupStructure
 from .numutil import prime_factors, require_prime
 
 INFINITE = math.inf
+_ONE = ExtCardinal(1)
 
 
 def _normalize_exponent(e) -> int | float:
@@ -172,15 +180,16 @@ def ext_to_z(m: EProfile) -> GroupDescriptor:
     True
     """
     if is_free(m):
-        return GroupDescriptor.build()
-    default_mult = 0 if m.default == INFINITE else 1
-    exceptions = {}
-    for p, e in m.exceptions:
-        exceptions[p] = 0 if e == INFINITE else 1
-    return GroupDescriptor.build(
-        rational=CONTINUUM,
-        pruefer=PrimeMultiplicity.build(default_mult, exceptions),
-    )
+        return ZERO_DESCRIPTOR
+    # The profile is normalized (sorted exceptions at proven primes), so the
+    # result is built directly: an exception survives where the finiteness
+    # of e_p differs from the default's, and then it is the other of 0 and 1.
+    finite = m.default != INFINITE
+    default, other = (_ONE, ZERO_CARDINAL) if finite else (ZERO_CARDINAL, _ONE)
+    return GroupDescriptor(rational=CONTINUUM, pruefer=PrimeMultiplicity(default, tuple(
+        (p, other) for p, e in m.exceptions if (e != INFINITE) != finite
+    )))
+
 
 
 def quotient_mod_z(m: EProfile) -> GroupDescriptor:

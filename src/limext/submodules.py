@@ -19,7 +19,6 @@ never given an invented order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from ._record import record
@@ -60,6 +59,10 @@ class TaggedGenerators:
 
     @classmethod
     def build(cls, rank: int, prime: int, generators) -> "TaggedGenerators":
+        # Imported here, its only use: fractions pulls in decimal, which a
+        # cold call that never builds generators should not pay for.
+        from fractions import Fraction
+
         rank = int(rank)
         if rank < 1:
             raise DomainError("ambient rank must be >= 1")

@@ -10,7 +10,7 @@ x divisible by p) to the power p^(n+s) kills every cross term once p^s >= n.
 from __future__ import annotations
 
 from ._record import record
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 from .numutil import require_prime
 
 
@@ -55,6 +55,10 @@ def vp_binomial(p: int, z: int, u: int) -> int:
     return total
 
 
+LEMMA_MAX_ITERATIONS = 2 ** 14
+LEMMA_MAX_Z_BITS = 64
+
+
 def check_binomial_lemma(p: int, n: int, s: int) -> bool:
     """Whether v_p(C(p^(n+s), u)) > n for every u strictly between 0 and p^s.
 
@@ -62,13 +66,26 @@ def check_binomial_lemma(p: int, n: int, s: int) -> bool:
     and z - u carries at every position from s through n+s when u < p^s), so
     the check doubles as a theorem verification at the given parameters.
 
+    The check takes p^s - 1 valuations of binomials of z, so before any
+    work it is refused with :class:`BudgetExceededError` when p^s exceeds
+    2^14 or z needs more than 64 bits.  Within both bounds it returns in
+    well under a second.
+
     >>> check_binomial_lemma(2, 1, 2)
     True
     """
     require_prime(p)
     if n < 1 or s < 1:
         raise DomainError("need n >= 1 and s >= 1")
-    z = p ** (n + s)
+    # z >= 2^((n+s)(bits(p)-1)), so the first test refuses a huge exponent
+    # before p^(n+s) is formed.
+    if ((n + s) * (p.bit_length() - 1) >= LEMMA_MAX_Z_BITS
+            or (z := p ** (n + s)).bit_length() > LEMMA_MAX_Z_BITS):
+        raise BudgetExceededError(f"z = p^(n+s) needs more than {LEMMA_MAX_Z_BITS} bits")
+    if p ** s > LEMMA_MAX_ITERATIONS:
+        raise BudgetExceededError(
+            f"p^s = {p}^{s} iterations exceed the budget of {LEMMA_MAX_ITERATIONS}"
+        )
     return all(vp_binomial(p, z, u) > n for u in range(1, p ** s))
 
 

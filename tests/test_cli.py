@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -76,6 +77,11 @@ def test_exit_codes(capsys):
     code, out = run_json(capsys, "valuation", '{"op":"lemma","p":"4","n":"1","s":"1"}')
     assert code == 1
     assert out["error"]["code"] == "not-prime"
+    # Budget: p^s iterations are refused before any work, not run.
+    start = time.monotonic()
+    code, out = run_json(capsys, "valuation", '{"op":"lemma","p":"2","n":"1","s":"200"}')
+    assert time.monotonic() - start < 1
+    assert code == 1 and out["error"]["code"] == "budget-exceeded"
     # Malformed JSON.
     code, out = run_json(capsys, "valuation", "{nope")
     assert code == 2

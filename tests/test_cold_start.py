@@ -54,12 +54,17 @@ print(json.dumps(steps))
 """ % (LIBRARY,)
 
 
-def test_cli_import_runs_no_library_module():
+def run_probe(code: str):
+    """Run ``code`` in a fresh interpreter with ``src`` on the path; parse its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    steps = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_runs_no_library_module():
+    steps = run_probe(PROBE)
     assert steps == {"import": [], "dataclasses": False,
                      "valuation": ["errors", "numutil", "valuations"]}
 
@@ -79,3 +84,16 @@ def test_star_import_gives_the_public_names():
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC == limext.__all__
     for name in PUBLIC:
         assert namespace[name] is getattr(limext, name)
+
+
+def test_brauer_call_leaves_fractions_unimported():
+    # Only TaggedGenerators.build needs Fraction; fractions would pull in decimal.
+    probe = """
+import io, json, sys
+from contextlib import redirect_stdout
+import limext.cli
+with redirect_stdout(io.StringIO()):
+    code = limext.cli.main(["brauer", '{"op":"r","rho_Xs":"5","rho_X":"2","I":"1"}'])
+print(json.dumps([code, "fractions" in sys.modules, "decimal" in sys.modules]))
+"""
+    assert run_probe(probe) == [0, False, False]

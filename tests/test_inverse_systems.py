@@ -4,10 +4,13 @@ import pytest
 
 from limext import (
     DomainError,
+    GroupDescriptor,
     GroupStructure,
     InvalidSystemError,
     InverseSystemSpec,
     drop_prefix,
+    eprofile_from_multipliers,
+    ext_to_z,
     is_mittag_leffler,
     lim1_classify,
     lim_structure,
@@ -63,8 +66,7 @@ def test_lim_rank_accounting():
         spec = random_system(rng)
         units = lim_structure(spec).free_rank
         non_units = sum(
-            1 for j in range(spec.rank)
-            if any(abs(d) != 1 for d in spec.coordinate_period(j))
+            1 for col in zip(*spec.tail_diagonals) if any(abs(d) != 1 for d in col)
         )
         assert units + non_units == spec.rank
 
@@ -145,6 +147,34 @@ def test_strategies_agree_with_counting_at_high_rank():
     assert 0 < n < 600 and min(c.values()) > 10
     assert lim1_classify(spec, "recursive") == expected
     assert lim1_classify(spec, "ext_oracle") == expected
+
+
+def test_strategies_agree_up_to_rank_200():
+    # Ranks up to 200, periods up to 3, negative and unit entries.  Each
+    # coordinate's primes are drawn first, so the class is known without
+    # factoring; the per-coordinate Ext route of the multipliers (which
+    # factors them itself) must give it too.
+    rng = random.Random(14)
+    pool = (2, 3, 5, 7, 11, 13, 31, 97, 101, 8191)
+    for _ in range(40):
+        rank, period = rng.randint(1, 200), rng.randint(1, 3)
+        cols, drawn = [], []
+        for _ in range(rank):
+            primes = rng.sample(pool, rng.choice((0, 0, 1, 2, 3)))
+            entries = [rng.choice((1, -1)) for _ in range(period)]
+            for p in primes:
+                entries[rng.randrange(period)] *= p ** rng.randint(1, 2)
+            cols.append(entries)
+            drawn.append(primes)
+        spec = InverseSystemSpec.build(rank, [], [[c[t] for c in cols] for t in range(period)])
+        n = sum(1 for primes in drawn if primes)
+        expected = Lim1Class(CONTINUUM, PrimeMultiplicity.build(
+            n, {p: n - sum(p in primes for primes in drawn) for p in pool})) if n else Lim1Class()
+        assert lim1_classify(spec, "recursive") == expected
+        assert lim1_classify(spec, "ext_oracle") == expected
+        assert Lim1Class.from_descriptor(GroupDescriptor.total(
+            ext_to_z(eprofile_from_multipliers([], col)) for col in cols
+        )) == expected
 
 
 def test_oracle_equivalence_randomized():

@@ -13,6 +13,7 @@ from limext import (
     is_unimodular,
     smith_normal_form,
 )
+from limext.matrices import smith_diagonal
 from support import random_matrix, random_unimodular, random_unimodular_with_inverse
 
 entries_st = st.integers(min_value=-50, max_value=50)
@@ -249,3 +250,31 @@ def test_determinant_matches_snf_product():
         assert prod == abs(det)
         assert det == _leibniz_determinant(m)
     assert IntMatrix(0, 0, ()).determinant() == 1
+
+
+def test_smith_diagonal_matches_the_full_form():
+    # Rectangular, rank-deficient, zero-column and 0 x n matrices.
+    rng = random.Random(5000)
+    empty = 0
+    for k in range(2500):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        if k % 2:
+            m = _low_rank_matrix(rng, rows, cols)
+        else:
+            b = rng.choice((1, 9, 100))
+            m = IntMatrix(rows, cols, tuple(rng.randint(-b, b) for _ in range(rows * cols)))
+        empty += rows == 0 < cols
+        assert smith_diagonal(m) == smith_normal_form(m)[1].diagonal_entries()
+    assert empty > 100
+
+
+def test_smith_diagonal_matches_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    rng = random.Random(1987)
+    for k in range(200):
+        n = rng.randint(1, 6)
+        m = _low_rank_matrix(rng, n, n) if k % 2 else random_matrix(rng, n, n, bound=9)
+        ref = normalforms.smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
+        assert smith_diagonal(m) == [abs(int(ref[i, i])) for i in range(n)]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limext import (
     DomainError,
@@ -148,3 +150,26 @@ def test_quotient_cardinality_consistency():
     assert t3.order() == 3 ** 2
     _, t5 = finite_coefficients_descriptor(out, 5, 4)
     assert t5.order() == 5 ** 4
+
+
+def ext_to_z_by_build(m):
+    """Ext(M, Z) through the normalising constructors, as ext_to_z once did."""
+    if is_free(m):
+        return GroupDescriptor.build()
+    return GroupDescriptor.build(rational=CONTINUUM, pruefer=PrimeMultiplicity.build(
+        0 if m.default == INFINITE else 1,
+        {p: 0 if e == INFINITE else 1 for p, e in m.exceptions},
+    ))
+
+
+exponents_st = st.one_of(st.integers(min_value=0, max_value=6), st.just(INFINITE))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((0, 1, INFINITE)),
+       st.dictionaries(st.sampled_from((2, 3, 5, 7, 11, 13, 97, 65537)), exponents_st,
+                       max_size=5))
+def test_ext_to_z_equals_normalising_build(default, exceptions):
+    m = EProfile.build(default, exceptions)
+    got, want = ext_to_z(m), ext_to_z_by_build(m)
+    assert got == want and got.to_json() == want.to_json()

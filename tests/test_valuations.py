@@ -11,6 +11,7 @@ from limext import (
     vp_binomial,
     vp_factorial,
 )
+from limext.errors import BudgetExceededError
 from support import vp_int
 
 
@@ -61,6 +62,13 @@ def test_binomial_lemma_rejects_bad_inputs():
         check_binomial_lemma(2, 0, 1)
     with pytest.raises(NotPrimeError):
         check_binomial_lemma(9, 1, 1)
+
+
+def test_binomial_lemma_budget():
+    assert check_binomial_lemma(2, 1, 14) is True       # p^s = 2^14, the largest run
+    for p, n, s in ((2, 1, 15), (3, 1, 9), (2, 51, 14), (2, 1, 10 ** 4000)):
+        with pytest.raises(BudgetExceededError):
+            check_binomial_lemma(p, n, s)
 
 
 def expand_by_binomial_formula(ring: TruncatedPolyRing, exponent: int):
