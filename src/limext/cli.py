@@ -8,7 +8,9 @@ the string "continuum".  Output key order is fixed, so identical input
 yields byte-identical output.
 
 Exit codes: 0 success, 1 domain error (structured error JSON), 2 malformed
-input (bad JSON or schema violation).
+input (bad JSON or schema violation).  A result with an integer past the
+int-to-str digit limit is ``output-too-large`` and any other exception
+escaping a handler is ``internal-error``; both exit 1 with error JSON.
 
 Importing this module runs no library module: each handler imports what it
 uses, so a cold call runs only the modules its subcommand needs.
@@ -17,6 +19,7 @@ uses, so a cold call runs only the modules its subcommand needs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -27,11 +30,46 @@ class SchemaViolation(Exception):
     pass
 
 
+@functools.cache
+def _schema_document() -> dict:
+    """The schema document, read and parsed once per process: one body per
+    subcommand beside the shared ``$defs`` that the bodies refer to."""
+    return json.loads(resources.files("limext").joinpath("schema.json").read_text())
+
+
+def _refs(node):
+    """Names of the definitions that ``node`` refers to itself, not through
+    other definitions."""
+    if isinstance(node, dict):
+        if "$ref" in node:
+            yield node["$ref"].removeprefix("#/$defs/")
+        for value in node.values():
+            yield from _refs(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _refs(value)
+
+
 def load_schema(name: str) -> dict:
+    """A subcommand's schema as a self-contained document: its body plus the
+    shared definitions the body reaches, directly or through other
+    definitions.  A body that is a single ``$ref`` (``snf`` is a matrix) is
+    replaced by its target.  The result is a fresh copy."""
+    import copy
+
     if name not in SUBCOMMANDS:
         raise SchemaViolation(f"unknown subcommand {name!r}")
-    text = resources.files("limext.schemas").joinpath(f"{name}.json").read_text()
-    return json.loads(text)
+    document = _schema_document()
+    shared, body = document["$defs"], document[name]
+    if "$ref" in body:
+        body = shared[next(_refs(body))]
+    reached, todo = {}, list(_refs(body))
+    while todo:
+        ref = todo.pop()
+        if ref not in reached:
+            reached[ref] = shared[ref]
+            todo.extend(_refs(shared[ref]))
+    return copy.deepcopy({**body, "$defs": reached})
 
 
 _TYPE_CHECKS = {
@@ -343,13 +381,22 @@ _HANDLERS = {
 SUBCOMMANDS = tuple(_HANDLERS)
 
 
-def _emit(obj, output: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _format(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(text: str, output: str | None) -> None:
     if output and output != "-":
         with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _fail(code: str, message: str, output: str | None, status: int) -> int:
+    """Write a front-end error as ``{"error": {"code", "message"}}``; return ``status``."""
+    _emit(_format({"error": {"code": code, "message": message}}), output)
+    return status
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,16 +431,15 @@ def main(argv=None) -> int:
 
     if args.schema is not None and args.subcommand is None:
         try:
-            _emit(load_schema(args.schema), None)
+            _emit(_format(load_schema(args.schema)), None)
         except SchemaViolation as exc:
-            _emit({"error": {"code": "schema-violation", "message": str(exc)}}, None)
-            return 2
+            return _fail("schema-violation", str(exc), None, 2)
         return 0
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return 2
     if getattr(args, "print_schema", False):
-        _emit(load_schema(args.subcommand), args.output)
+        _emit(_format(load_schema(args.subcommand)), args.output)
         return 0
 
     if args.input:
@@ -401,8 +447,7 @@ def main(argv=None) -> int:
             with open(args.input) as fh:
                 raw = fh.read()
         except OSError as exc:
-            _emit({"error": {"code": "input-unreadable", "message": str(exc)}}, args.output)
-            return 2
+            return _fail("input-unreadable", str(exc), args.output, 2)
     elif args.payload not in (None, "-"):
         raw = args.payload
     else:
@@ -411,32 +456,36 @@ def main(argv=None) -> int:
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
-        _emit({"error": {"code": "malformed-json", "message": str(exc)}}, args.output)
-        return 2
+        return _fail("malformed-json", str(exc), args.output, 2)
     except RecursionError:  # arrays or objects nested past the parser's depth limit
-        _emit({"error": {"code": "malformed-json",
-                         "message": "$: nesting too deep to parse"}}, args.output)
-        return 2
+        return _fail("malformed-json", "$: nesting too deep to parse", args.output, 2)
     except ValueError:  # an integer literal past the int-to-str digit limit
-        _emit({"error": {"code": "schema-violation",
-                         "message": "$: integer literal longer than 4300 digits"}}, args.output)
-        return 2
+        return _fail("schema-violation", "$: integer literal longer than 4300 digits",
+                     args.output, 2)
 
+    document = _schema_document()
     try:
-        _validate(payload, load_schema(args.subcommand))
+        _validate(payload, document[args.subcommand], "$", document["$defs"])
     except SchemaViolation as exc:
-        _emit({"error": {"code": "schema-violation", "message": str(exc)}}, args.output)
-        return 2
+        return _fail("schema-violation", str(exc), args.output, 2)
 
     from .errors import DomainError
 
     try:
-        result = _HANDLERS[args.subcommand](payload)
+        text = _format(_HANDLERS[args.subcommand](payload))
     except DomainError as exc:
-        _emit({"error": exc.to_json()}, args.output)
+        _emit(_format({"error": exc.to_json()}), args.output)
         return 1
+    except Exception as exc:
+        # The int-to-str digit limit raises a plain ValueError; only its
+        # message tells it apart from a fault in the library.
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            return _fail("output-too-large",
+                         f"result has an integer of more than {sys.get_int_max_str_digits()} "
+                         "digits, past the int-to-str limit", args.output, 1)
+        return _fail("internal-error", f"{type(exc).__name__}: {exc}", args.output, 1)
 
-    _emit(result, args.output)
+    _emit(text, args.output)
     return 0
 
 

@@ -1,13 +1,15 @@
 import ast
+import hashlib
 import io
 import json
+import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from limext.cli import SUBCOMMANDS, load_schema, main
+from limext.cli import _HANDLERS, SUBCOMMANDS, _schema_document, load_schema, main
 
 
 def run(capsys, *argv):
@@ -36,15 +38,36 @@ def test_snf_round_trip_and_determinism(capsys):
     assert isinstance(data["U"]["entries"][0][0], str)
 
 
+# SHA-256 of `limext --schema <cmd>`, recorded when each subcommand still had
+# its own schema file; the one schema document must print the same bytes.
+SCHEMA_SHA256 = {
+    "snf": "de11f3dd27dc71727c05fa72f9698d8726f5d6bac83752d8aa80de02f724db87",
+    "group": "3a33f8a29ab48f9f855de07ac8f51e2f626d6625e57089cc132ea7008195b5cb",
+    "descriptor": "66e48e6a43b36019334b0b39af14b314a38ad0e328b602c8972abb54be9788bc",
+    "lim1": "17772681f9c3aabd7d191d8f8be77ff5249515d8695ef2a2856871da8ed0f3a6",
+    "ml": "665a41525b1e0e1b73321439556ac2b0c9e03111326bd6adbcd0f0cad6cee0f0",
+    "ext-rank1": "ca03a621d34c74564f81d9a821a0b192ee0d0e6564fd1c5f993db4eff5757773",
+    "classify-submodule": "f9a3538e5e63001f4b50cb655464971ad4d6a0c2cb0d2d559f3cf5c9c68ca667",
+    "valuation": "8e70ba918ec103d20657701ac280791ae7ed7f38a64e0d28229ccb7052597776",
+    "brauer": "370d986ee694ced5d16f9b2d96b6dcb968658adb9e3bcfea9f7f3648020be434",
+    "report": "afc1d51feaacbc46c78e0abe7bcb60f2f77324c1e218a7ce76999f28e2fdebbf",
+}
+
+
 def test_every_subcommand_has_a_schema(capsys):
+    assert set(SCHEMA_SHA256) == set(SUBCOMMANDS)
     for name in SUBCOMMANDS:
         schema = load_schema(name)
         assert isinstance(schema, dict)
         code, out = run(capsys, "--schema", name)
         assert code == 0
         assert json.loads(out) == schema
+        assert hashlib.sha256(out.encode()).hexdigest() == SCHEMA_SHA256[name], name
         # The per-subcommand flag prints the same bytes.
         assert run(capsys, name, "--schema") == (0, out)
+    # Each call returns a fresh copy, so a caller's edit cannot reach the next one.
+    load_schema("snf")["$defs"]["int"]["pattern"] = "x"
+    assert load_schema("snf")["$defs"]["int"]["pattern"] == "^-?[0-9]+$"
 
 
 def test_unknown_schema_request(capsys):
@@ -113,6 +136,33 @@ def test_exit_codes(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and captured.err.startswith("usage: limext")
+
+
+def test_unexpected_handler_failure_is_an_internal_error(capsys, monkeypatch):
+    # JSON on stdout, exit 1, nothing on stderr.
+    def broken(payload):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(_HANDLERS, "valuation", broken)
+    code = main(["valuation", '{"op":"factorial","p":"2","n":"10"}'])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {
+        "error": {"code": "internal-error", "message": "RuntimeError: boom"}}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str digit limit")
+def test_output_past_the_digit_limit_is_a_structured_error(capsys):
+    # Two coprime factors under 4300 digits each multiply into one invariant
+    # factor of about 7,700 digits, which no decimal string may carry.
+    payload = json.dumps({"op": "direct-sum", "groups": [
+        {"invariant_factors": [str(2 ** 13000)]}, {"invariant_factors": [str(3 ** 8000)]},
+    ]})
+    code = main(["group", payload])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out)["error"]["code"] == "output-too-large"
 
 
 def test_lim1_example(capsys):
@@ -447,14 +497,21 @@ def _subschemas(node):
 
 
 def test_schema_refs_are_local_and_every_definition_is_used():
-    for name in SUBCOMMANDS:
-        schema = load_schema(name)
+    # Each printed schema, and the one document they are projected from.
+    document = _schema_document()
+    schemas = {name: load_schema(name) for name in SUBCOMMANDS}
+    for name, schema in [*schemas.items(), ("document", document)]:
         defs = schema.get("$defs", {})
         refs = [node["$ref"] for node in _subschemas(schema) if "$ref" in node]
         for ref in refs:
             assert ref.startswith("#/$defs/"), (name, ref)
             assert ref.removeprefix("#/$defs/") in defs, (name, ref)
         assert {ref.removeprefix("#/$defs/") for ref in refs} == set(defs), name
+    # The document is one body per subcommand beside one shared $defs, and
+    # every shared definition is reached by some subcommand.
+    assert set(document) == {"$defs", *SUBCOMMANDS}
+    assert not any("$defs" in document[name] for name in SUBCOMMANDS)
+    assert set().union(*(schema["$defs"] for schema in schemas.values())) == set(document["$defs"])
 
 
 def test_schemas_define_each_large_subschema_once():
@@ -576,9 +633,13 @@ def test_validate_agrees_with_jsonschema():
     jsonschema = pytest.importorskip("jsonschema")
     from limext.cli import SchemaViolation, _validate
 
-    def ours(instance, schema):
+    # Ours as main runs it: the document's body with the shared definitions;
+    # jsonschema's on the self-contained schema that --schema prints.
+    document = _schema_document()
+
+    def ours(instance, cmd):
         try:
-            _validate(instance, schema)
+            _validate(instance, document[cmd], "$", document["$defs"])
             return True
         except SchemaViolation:
             return False
@@ -590,7 +651,7 @@ def test_validate_agrees_with_jsonschema():
         schema = load_schema(cmd)
         theirs = jsonschema.Draft202012Validator(schema).is_valid
         for instance in [payload, *_mutations(payload)]:
-            mine = ours(instance, schema)
+            mine = ours(instance, cmd)
             if mine == theirs(instance):
                 agreed[mine] += 1
                 continue
