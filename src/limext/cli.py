@@ -12,8 +12,10 @@ input (bad JSON or schema violation).  A result with an integer past the
 int-to-str digit limit is ``output-too-large`` and any other exception
 escaping a handler is ``internal-error``; both exit 1 with error JSON.
 
-Importing this module runs no library module: each handler imports what it
-uses, so a cold call runs only the modules its subcommand needs.
+Importing this module runs no library module.  The library modules it binds
+are the package's lazily loaded ones (see ``limext/__init__.py``): each runs
+when a handler first reads a name from it, so a cold call runs only the
+modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import json
 import re
 import sys
 from importlib import resources
+
+from . import (descriptors, errors, fg_groups, functors, invariants, inverse_systems, matrices,
+               rank1, submodules, valuations)
 
 
 class SchemaViolation(Exception):
@@ -72,6 +77,11 @@ def load_schema(name: str) -> dict:
     return copy.deepcopy({**body, "$defs": reached})
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
 _TYPE_CHECKS = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
@@ -86,7 +96,8 @@ def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None)
     oneOf, enum, type, maxLength and pattern (strings only), properties,
     required, additionalProperties, propertyNames, items, minItems, and local
     ``$ref`` ("#/$defs/<name>"), looked up in ``defs``, which defaults to the
-    root schema's ``$defs``.  Patterns must match the whole string.
+    root schema's ``$defs``.  Patterns must match the whole string, and
+    ``maxLength`` is capped at the interpreter's int-to-str digit limit.
     """
     defs = schema.get("$defs", {}) if defs is None else defs
     if "$ref" in schema:
@@ -113,8 +124,13 @@ def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None)
         if not any(_TYPE_CHECKS[t](instance) for t in types):
             raise SchemaViolation(f"{path}: expected {' or '.join(types)}")
     if isinstance(instance, str):
-        if len(instance) > schema.get("maxLength", len(instance)):
-            raise SchemaViolation(f"{path}: expected at most {schema['maxLength']} characters")
+        bound = schema.get("maxLength")
+        if bound is not None:
+            # Every bounded string is a digit string, which int() refuses
+            # past the limit in force now, however the schema bounds it.
+            bound = min(bound, _digit_limit() or bound)
+            if len(instance) > bound:
+                raise SchemaViolation(f"{path}: expected at most {bound} characters")
         if "pattern" in schema and not re.fullmatch(schema["pattern"], instance):
             raise SchemaViolation(f"{path}: {instance!r} does not match "
                                   f"{schema['pattern']}")
@@ -148,102 +164,72 @@ def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None)
 
 
 def _run_snf(payload):
-    from .matrices import IntMatrix, smith_normal_form
-
-    m = IntMatrix.from_json(payload)
-    u, d, v = smith_normal_form(m)
+    u, d, v = matrices.smith_normal_form(matrices.IntMatrix.from_json(payload))
     return {"U": u.to_json(), "D": d.to_json(), "V": v.to_json()}
 
 
 def _run_group(payload):
-    from .fg_groups import (
-        GroupPresentation,
-        GroupStructure,
-        cokernel_structure,
-        direct_sum,
-        finite_coefficients,
-    )
-    from .matrices import IntMatrix, check_exact_at
-
     op = payload["op"]
     if op == "cokernel":
-        return {"result": cokernel_structure(IntMatrix.from_json(payload["matrix"])).to_json()}
+        return {"result": fg_groups.cokernel_structure(
+            matrices.IntMatrix.from_json(payload["matrix"])).to_json()}
     if op == "presentation":
-        pres = GroupPresentation(int(payload["generators"]),
-                                 IntMatrix.from_json(payload["relations"]))
+        pres = fg_groups.GroupPresentation(int(payload["generators"]),
+                                           matrices.IntMatrix.from_json(payload["relations"]))
         return {"result": pres.structure().to_json()}
     if op == "finite-coefficients":
-        quotient, torsion = finite_coefficients(
-            GroupStructure.from_json(payload["group"]), int(payload["modulus"])
+        quotient, torsion = fg_groups.finite_coefficients(
+            fg_groups.GroupStructure.from_json(payload["group"]), int(payload["modulus"])
         )
         return {"quotient": quotient.to_json(), "torsion": torsion.to_json()}
     if op == "direct-sum":
-        total = direct_sum(*[GroupStructure.from_json(g) for g in payload["groups"]])
+        total = fg_groups.direct_sum(
+            *[fg_groups.GroupStructure.from_json(g) for g in payload["groups"]])
         return {"result": total.to_json()}
     if op == "check-exact":
-        return {"result": check_exact_at(
-            IntMatrix.from_json(payload["f"]), IntMatrix.from_json(payload["g"])
+        return {"result": matrices.check_exact_at(
+            matrices.IntMatrix.from_json(payload["f"]), matrices.IntMatrix.from_json(payload["g"])
         )}
     raise SchemaViolation(f"unknown group op {op!r}")
 
 
 def _run_descriptor(payload):
-    from .descriptors import GroupDescriptor
-    from .fg_groups import GroupStructure
-    from .functors import (
-        completion_cokernel,
-        extension_classes,
-        finite_coefficients_descriptor,
-        lim1_mult_p,
-        max_p_divisible,
-        six_term_mult_p,
-        tate_module,
-    )
-
     op = payload["op"]
     if op == "extension-classes":
-        classes = extension_classes(
-            GroupDescriptor.from_json(payload["divisible"]),
-            GroupStructure.from_json(payload["finite"]),
+        classes = functors.extension_classes(
+            descriptors.GroupDescriptor.from_json(payload["divisible"]),
+            fg_groups.GroupStructure.from_json(payload["finite"]),
         )
         ordered = sorted(classes, key=lambda d: json.dumps(d.to_json(), sort_keys=True))
         return {"result": [d.to_json() for d in ordered]}
-    g = GroupDescriptor.from_json(payload["group"])
+    g = descriptors.GroupDescriptor.from_json(payload["group"])
     p = int(payload["p"])
     if op == "tate":
-        return {"result": tate_module(g, p).to_json()}
+        return {"result": functors.tate_module(g, p).to_json()}
     if op == "max-divisible":
-        return {"result": max_p_divisible(g, p).to_json()}
+        return {"result": functors.max_p_divisible(g, p).to_json()}
     if op == "lim1":
-        return {"result": lim1_mult_p(g, p).to_json()}
+        return {"result": functors.lim1_mult_p(g, p).to_json()}
     if op == "finite-coefficients":
-        quotient, torsion = finite_coefficients_descriptor(g, p, int(payload.get("j", 1)))
+        quotient, torsion = functors.finite_coefficients_descriptor(
+            g, p, int(payload.get("j", 1)))
         return {"quotient": quotient.to_json(), "torsion": torsion.to_json()}
     if op == "six-term":
-        return {"result": six_term_mult_p(g, p).to_json()}
+        return {"result": functors.six_term_mult_p(g, p).to_json()}
     if op == "completion-cokernel":
-        nxt = GroupDescriptor.from_json(payload["next"])
-        return {"result": completion_cokernel(g, nxt, p).to_json()}
+        nxt = descriptors.GroupDescriptor.from_json(payload["next"])
+        return {"result": functors.completion_cokernel(g, nxt, p).to_json()}
     raise SchemaViolation(f"unknown descriptor op {op!r}")
 
 
 def _run_lim1(payload):
-    from .inverse_systems import (
-        InverseSystemSpec,
-        is_mittag_leffler,
-        lim1_classify,
-        lim_structure,
-        validate_system,
-    )
-
-    spec = InverseSystemSpec.from_json(payload)
-    validated = validate_system(spec)
-    strategy = payload.get("strategy", "recursive")
-    cls = lim1_classify(validated, strategy)
+    validated = inverse_systems.validate_system(
+        inverse_systems.InverseSystemSpec.from_json(payload))
+    cls = inverse_systems.lim1_classify(validated, payload.get("strategy", "recursive"))
     return {
         "class": cls.to_json(),
-        "lim": lim_structure(validated).to_json(),
-        "mittag_leffler": is_mittag_leffler(validated),
+        "lim": inverse_systems.lim_structure(validated).to_json(),
+        "mittag_leffler": inverse_systems.is_mittag_leffler(validated),
         "cokernel_prime_support": [str(q) for q in validated.cokernel_prime_support],
         "single_prime_cokernels": (
             str(validated.p_group_prime) if validated.p_group_prime else None
@@ -252,116 +238,85 @@ def _run_lim1(payload):
 
 
 def _run_ml(payload):
-    from .inverse_systems import InverseSystemSpec, is_mittag_leffler
-
-    return {"mittag_leffler": is_mittag_leffler(InverseSystemSpec.from_json(payload))}
+    return {"mittag_leffler": inverse_systems.is_mittag_leffler(
+        inverse_systems.InverseSystemSpec.from_json(payload))}
 
 
 def _run_ext_rank1(payload):
-    from .rank1 import (
-        EProfile,
-        eprofile_from_multipliers,
-        ext_to_z,
-        hom_to_z,
-        is_free,
-        quotient_mod_z,
-    )
-
     op = payload["op"]
     if op == "from-multipliers":
-        profile = eprofile_from_multipliers(
+        profile = rank1.eprofile_from_multipliers(
             [int(a) for a in payload.get("prefix", [])],
             [int(a) for a in payload["period"]],
         )
         return {"result": profile.to_json()}
-    profile = EProfile.from_json(payload["profile"])
+    profile = rank1.EProfile.from_json(payload["profile"])
     if op == "ext":
-        return {"result": ext_to_z(profile).to_json()}
+        return {"result": rank1.ext_to_z(profile).to_json()}
     if op == "hom":
-        return {"result": hom_to_z(profile).to_json()}
+        return {"result": rank1.hom_to_z(profile).to_json()}
     if op == "quotient":
-        return {"result": quotient_mod_z(profile).to_json()}
+        return {"result": rank1.quotient_mod_z(profile).to_json()}
     if op == "is-free":
-        return {"result": is_free(profile)}
+        return {"result": rank1.is_free(profile)}
     raise SchemaViolation(f"unknown ext-rank1 op {op!r}")
 
 
 def _run_classify_submodule(payload):
-    from .submodules import TaggedGenerators, classify_submodule
-
-    pair = classify_submodule(TaggedGenerators.from_json(payload))
+    pair = submodules.classify_submodule(submodules.TaggedGenerators.from_json(payload))
     return {"result": pair.to_json()}
 
 
 def _run_valuation(payload):
-    from .valuations import (
-        TruncatedPolyRing,
-        check_binomial_lemma,
-        unit_power_check,
-        vp_binomial,
-        vp_factorial,
-    )
-
     op = payload["op"]
     p = int(payload["p"])
     if op == "factorial":
-        return {"result": str(vp_factorial(p, int(payload["n"])))}
+        return {"result": str(valuations.vp_factorial(p, int(payload["n"])))}
     if op == "binomial":
-        return {"result": str(vp_binomial(p, int(payload["z"]), int(payload["u"])))}
+        return {"result": str(valuations.vp_binomial(p, int(payload["z"]), int(payload["u"])))}
     if op == "lemma":
-        return {"result": check_binomial_lemma(p, int(payload["n"]), int(payload["s"]))}
+        return {"result": valuations.check_binomial_lemma(
+            p, int(payload["n"]), int(payload["s"]))}
     if op == "unit-power":
-        ring = TruncatedPolyRing(p, int(payload["n"]), int(payload["degree_bound"]))
-        return {"result": unit_power_check(ring, int(payload["s"]))}
+        ring = valuations.TruncatedPolyRing(p, int(payload["n"]), int(payload["degree_bound"]))
+        return {"result": valuations.unit_power_check(ring, int(payload["s"]))}
     raise SchemaViolation(f"unknown valuation op {op!r}")
 
 
 def _run_brauer(payload):
-    from .invariants import (
-        BrauerInvariants,
-        abelian_surface_picard_rank,
-        compute_r,
-        generic_fiber_brauer_corank,
-        invariant_report,
-        jacobian_example_report,
-        k3_abelian_structure,
-        model_corank_relation,
-    )
-
     op = payload.get("op", "report")
     if op == "report":
-        return invariant_report(BrauerInvariants.from_json(payload)).to_json()
+        return invariants.invariant_report(invariants.BrauerInvariants.from_json(payload)).to_json()
     if op == "r":
-        return {"result": str(compute_r(
+        return {"result": str(invariants.compute_r(
             int(payload["rho_Xs"]), int(payload["rho_X"]), int(payload["I"])
         ))}
     if op == "corank":
-        return {"result": str(generic_fiber_brauer_corank(
+        return {"result": str(invariants.generic_fiber_brauer_corank(
             payload["l_equals_p"], int(payload["f"]), int(payload["h01"]),
             int(payload["dimVlBrXbarGK"]),
         ))}
     if op == "corank-relation":
-        return {"result": str(model_corank_relation(
+        return {"result": str(invariants.model_corank_relation(
             int(payload["r"]), int(payload["dimVlBrXs"])
         ))}
     if op == "k3-abelian":
-        return {"result": k3_abelian_structure(int(payload["r"]), int(payload["p"])).to_json()}
+        return {"result": invariants.k3_abelian_structure(
+            int(payload["r"]), int(payload["p"])).to_json()}
     if op == "picard-rank":
-        return {"result": str(abelian_surface_picard_rank(
+        return {"result": str(invariants.abelian_surface_picard_rank(
             payload["shape"],
             int(payload["count1"]) if "count1" in payload else None,
             int(payload["count2"]) if "count2" in payload else None,
             int(payload["p"]) if "p" in payload else None,
         ))}
     if op == "jacobian-example":
-        return jacobian_example_report(int(payload["p"])).to_json()
+        return invariants.jacobian_example_report(int(payload["p"])).to_json()
     raise SchemaViolation(f"unknown brauer op {op!r}")
 
 
 def _run_report(payload):
-    from .invariants import BrauerInvariants, invariant_report
-
-    report = invariant_report(BrauerInvariants.from_json(payload))
+    report = invariants.invariant_report(invariants.BrauerInvariants.from_json(payload))
     return {"report": report.to_json(), "summary": report.summary()}
 
 
@@ -460,8 +415,8 @@ def main(argv=None) -> int:
     except RecursionError:  # arrays or objects nested past the parser's depth limit
         return _fail("malformed-json", "$: nesting too deep to parse", args.output, 2)
     except ValueError:  # an integer literal past the int-to-str digit limit
-        return _fail("schema-violation", "$: integer literal longer than 4300 digits",
-                     args.output, 2)
+        return _fail("schema-violation",
+                     f"$: integer literal longer than {_digit_limit()} digits", args.output, 2)
 
     document = _schema_document()
     try:
@@ -469,11 +424,9 @@ def main(argv=None) -> int:
     except SchemaViolation as exc:
         return _fail("schema-violation", str(exc), args.output, 2)
 
-    from .errors import DomainError
-
     try:
         text = _format(_HANDLERS[args.subcommand](payload))
-    except DomainError as exc:
+    except errors.DomainError as exc:
         _emit(_format({"error": exc.to_json()}), args.output)
         return 1
     except Exception as exc:
@@ -481,7 +434,7 @@ def main(argv=None) -> int:
         # message tells it apart from a fault in the library.
         if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
             return _fail("output-too-large",
-                         f"result has an integer of more than {sys.get_int_max_str_digits()} "
+                         f"result has an integer of more than {_digit_limit()} "
                          "digits, past the int-to-str limit", args.output, 1)
         return _fail("internal-error", f"{type(exc).__name__}: {exc}", args.output, 1)
 

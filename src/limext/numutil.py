@@ -4,8 +4,13 @@ from __future__ import annotations
 
 from .errors import NotPrimeError, UnsupportedInputError
 
-# Deterministic Miller-Rabin witness set for n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases.  The prime bases 2..41 are proven exact below
+# psi_13 = 3317044064679887385961981 (about 3.3 * 10**24), the least strong
+# pseudoprime to all of them (Sorenson and Webster 2017); 2..37 alone pass
+# psi_12 = 318665857834031151167461.  Above psi_13, "prime" means a strong
+# probable prime to the bases 2..43, and composites built to pass a fixed
+# base set exist (Arnault 1995).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 def is_prime(n: int) -> bool:
@@ -16,8 +21,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < 37 * 37:
-        # A composite this small has a prime factor below 37.
+    if n < 43 * 43:
+        # A composite this small has a prime factor below 43.
         return True
     d = n - 1
     r = 0

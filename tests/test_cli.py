@@ -100,6 +100,11 @@ def test_exit_codes(capsys):
     code, out = run_json(capsys, "valuation", '{"op":"lemma","p":"4","n":"1","s":"1"}')
     assert code == 1
     assert out["error"]["code"] == "not-prime"
+    # psi_12, the least strong pseudoprime to the prime bases 2..37, is composite.
+    code, out = run_json(capsys, "valuation", json.dumps({
+        "op": "factorial", "p": str(399165290221 * 798330580441), "n": "10",
+    }))
+    assert code == 1 and out["error"]["code"] == "not-prime"
     # Budget: p^s iterations are refused before any work, not run.
     start = time.monotonic()
     code, out = run_json(capsys, "valuation", '{"op":"lemma","p":"2","n":"1","s":"200"}')
@@ -149,6 +154,34 @@ def test_unexpected_handler_failure_is_an_internal_error(capsys, monkeypatch):
     assert code == 1 and captured.err == ""
     assert json.loads(captured.out) == {
         "error": {"code": "internal-error", "message": "RuntimeError: boom"}}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str digit limit")
+def test_digit_bounds_follow_the_limit_in_force(capsys):
+    # A lowered limit (PYTHONINTMAXSTRDIGITS=1000) bounds inputs and names itself.
+    digits = "9" * 2000
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        code, out = run_json(capsys, "valuation", json.dumps({
+            "op": "factorial", "p": "2", "n": digits}))
+        assert code == 2 and out["error"]["code"] == "schema-violation"
+        assert "$.n: expected at most 1000 characters" in out["error"]["message"]
+        code, out = run_json(capsys, "valuation",
+                             '{"op":"factorial","p":"2","n":%s}' % digits)
+        assert (code, out["error"]) == (2, {
+            "code": "schema-violation", "message": "$: integer literal longer than 1000 digits"})
+        code, out = run_json(capsys, "snf", json.dumps({
+            "rows": "1", "cols": "1", "entries": [[digits[:1000]]]}))
+        assert code == 0 and out["D"]["entries"] == [[digits[:1000]]]
+        code, out = run_json(capsys, "group", json.dumps({"op": "direct-sum", "groups": [
+            {"invariant_factors": [str(2 ** 2000)]}, {"invariant_factors": [str(3 ** 1200)]},
+        ]}))
+        assert code == 1 and out["error"]["code"] == "output-too-large"
+        assert "more than 1000 digits" in out["error"]["message"]
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import limext
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -34,8 +36,9 @@ PUBLIC = [
     "validate_system", "vp_binomial", "vp_factorial",
 ]
 
-# Prints, as JSON, which library modules have run after each step.  A lazily
-# loaded module is an instance of a ModuleType subclass until it runs.
+# Prints, as JSON, which library modules have run after importing the CLI
+# and after one call.  A lazily loaded module is an instance of a ModuleType
+# subclass until it runs.
 PROBE = """
 import io, json, sys, types
 from contextlib import redirect_stdout
@@ -48,10 +51,10 @@ had_dataclasses = "dataclasses" in sys.modules
 import limext.cli
 steps = {"import": ran(), "dataclasses": "dataclasses" in sys.modules and not had_dataclasses}
 with redirect_stdout(io.StringIO()):
-    code = limext.cli.main(["valuation", '{"op":"factorial","p":"2","n":"10"}'])
-steps["valuation"] = ran() if code == 0 else code
+    code = limext.cli.main(%r)
+steps["call"] = [code, ran()]
 print(json.dumps(steps))
-""" % (LIBRARY,)
+"""
 
 
 def run_probe(code: str):
@@ -63,10 +66,52 @@ def run_probe(code: str):
     return json.loads(proc.stdout)
 
 
+def probe_call(subcommand: str, payload: dict):
+    return run_probe(PROBE % (LIBRARY, [subcommand, json.dumps(payload)]))
+
+
 def test_cli_import_runs_no_library_module():
-    steps = run_probe(PROBE)
+    steps = probe_call("valuation", {"op": "factorial", "p": "2", "n": "10"})
     assert steps == {"import": [], "dataclasses": False,
-                     "valuation": ["errors", "numutil", "valuations"]}
+                     "call": [0, ["errors", "numutil", "valuations"]]}
+
+
+_GROUPS = ["errors", "numutil", "matrices", "fg_groups"]
+_DESCRIPTORS = _GROUPS + ["descriptors"]
+_SYSTEM = {"rank": "1", "prefix": [], "tail": {"period": "1", "diagonals": [["2"]]}}
+_BRAUER = {"p": "19", "f": "1", "h01": "2", "h02": "1", "rho_X": "1", "rho_Xs": "4",
+           "I": "1", "s": "1", "special_fiber_brauer_finite": True}
+# One cold call per subcommand: (subcommand, payload, exit code, modules run).
+COLD_CALLS = {
+    "snf": ("snf", {"rows": "1", "cols": "1", "entries": [["6"]]}, 0, ["errors", "matrices"]),
+    "group-cokernel": ("group", {
+        "op": "cokernel", "matrix": {"rows": "1", "cols": "1", "entries": [["6"]]},
+    }, 0, _GROUPS),
+    "group-check-exact": ("group", {
+        "op": "check-exact",
+        "f": {"rows": "2", "cols": "1", "entries": [["1"], ["0"]]},
+        "g": {"rows": "1", "cols": "2", "entries": [["0", "1"]]},
+    }, 0, ["errors", "matrices"]),
+    "descriptor": ("descriptor", {
+        "op": "tate", "group": {"pruefer": {"default": 1, "exceptions": {}}}, "p": "3",
+    }, 0, _DESCRIPTORS + ["functors"]),
+    "lim1": ("lim1", _SYSTEM, 0, _DESCRIPTORS + ["rank1", "inverse_systems"]),
+    "ml": ("ml", _SYSTEM, 0, _DESCRIPTORS + ["rank1", "inverse_systems"]),
+    "ext-rank1": ("ext-rank1", {"op": "from-multipliers", "prefix": ["6"], "period": ["5"]},
+                  0, _DESCRIPTORS + ["rank1"]),
+    "classify-submodule": ("classify-submodule", {
+        "rank": "1", "prime": "3", "generators": [{"vector": ["1"], "tag": "local"}],
+    }, 0, _DESCRIPTORS + ["submodules"]),
+    "brauer": ("brauer", _BRAUER, 0, _DESCRIPTORS + ["submodules", "invariants"]),
+    "report": ("report", _BRAUER, 0, _DESCRIPTORS + ["submodules", "invariants"]),
+    "schema-violation": ("snf", {"rows": "x"}, 2, []),
+}
+
+
+@pytest.mark.parametrize("case", COLD_CALLS)
+def test_cold_call_runs_only_the_modules_it_needs(case):
+    subcommand, payload, code, modules = COLD_CALLS[case]
+    assert probe_call(subcommand, payload)["call"] == [code, modules]
 
 
 def test_no_library_module_imports_dataclasses():

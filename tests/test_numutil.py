@@ -23,6 +23,10 @@ def test_is_prime_larger_values():
     assert not is_prime(2 ** 61 + 1)
     assert is_prime(1_000_000_007)
     assert not is_prime(1_000_000_007 * 998_244_353)
+    assert is_prime(2 ** 521 - 1)
+    # The least strong pseudoprimes to the prime bases 2..37 and 2..41.
+    assert not is_prime(399165290221 * 798330580441)
+    assert not is_prime(1287836182261 * 2575672364521)
 
 
 def test_require_prime():
