@@ -191,9 +191,10 @@ class PrimeMultiplicity:
 
     @classmethod
     def from_json(cls, data: dict) -> "PrimeMultiplicity":
+        # build reads the cardinals; with int keys the last of "5" and "05" wins.
         return cls.build(
-            ExtCardinal.from_json(data.get("default", 0)),
-            {int(p): ExtCardinal.from_json(v) for p, v in data.get("exceptions", {}).items()},
+            data.get("default", 0),
+            {int(p): v for p, v in data.get("exceptions", {}).items()},
         )
 
 
@@ -311,8 +312,8 @@ class GroupDescriptor:
 
         Block counts are merged across all parts, the Pruefer multiplicities
         are summed by :meth:`PrimeMultiplicity.total`, and :meth:`build`
-        runs a single time on the result.  ``parts`` is read once, so an
-        iterator of descriptors is summed without holding them all.
+        runs a single time on the result.  ``parts`` is read once, so it may
+        be an iterator.
 
         >>> parts = [GroupDescriptor.free(), GroupDescriptor.cyclic_group(2),
         ...          GroupDescriptor.cyclic_group(3)]
@@ -327,29 +328,22 @@ class GroupDescriptor:
         local: dict[int, int] = {}
         inverted: dict[tuple[int, ...], int] = {}
         padic: dict[int, int] = {}
-
-        def pruefers():
-            # Merges every other block while handing the Pruefer parts on,
-            # so the accumulators are complete only once it is exhausted.
-            nonlocal free_rank, rational
-            for g in parts:
-                free_rank += g.free_rank
-                rational += g.rational
-                cyclic.extend(g.cyclic)
-                for counts, blocks in ((local, g.local), (inverted, g.inverted),
-                                       (padic, g.padic)):
-                    for k, c in blocks:
-                        counts[k] = counts.get(k, 0) + c
-                yield g.pruefer
-
-        pruefer = PrimeMultiplicity.total(pruefers())
+        pruefers = []
+        for g in parts:
+            free_rank += g.free_rank
+            rational += g.rational
+            cyclic.extend(g.cyclic)
+            for counts, blocks in ((local, g.local), (inverted, g.inverted), (padic, g.padic)):
+                for k, c in blocks:
+                    counts[k] = counts.get(k, 0) + c
+            pruefers.append(g.pruefer)
         return cls.build(
             free_rank=free_rank,
             cyclic=cyclic,
             local=local,
             inverted=tuple(inverted.items()),
             rational=rational,
-            pruefer=pruefer,
+            pruefer=PrimeMultiplicity.total(pruefers),
             padic=padic,
         )
 
@@ -423,7 +417,7 @@ class GroupDescriptor:
                 ([int(q) for q in item["primes"]], int(item["count"]))
                 for item in data.get("inverted", [])
             ],
-            rational=ExtCardinal.from_json(data.get("rational", 0)),
+            rational=data.get("rational", 0),
             pruefer=PrimeMultiplicity.from_json(data.get("pruefer", {})),
             padic={int(p): int(c) for p, c in data.get("padic", {}).items()},
         )

@@ -14,6 +14,9 @@ exact sequence, computed by :func:`six_term_mult_p`.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import prod
+
 from ._record import record, replace
 from .descriptors import (
     CONTINUUM,
@@ -21,7 +24,7 @@ from .descriptors import (
     PrimeMultiplicity,
     ZERO_DESCRIPTOR,
 )
-from .errors import ContinuumError, DomainError, ModuleHypothesisError
+from .errors import BudgetExceededError, ContinuumError, DomainError, ModuleHypothesisError
 from .fg_groups import GroupStructure, direct_sum, finite_coefficients
 from .numutil import prime_factors, prime_to_p_part, require_prime
 
@@ -156,9 +159,8 @@ class SixTermSequence:
       -> lim1_torsion -> lim1 -> lim1_power_images -> 0
 
     The terms come from the standalone functors (see :func:`six_term_mult_p`),
-    so ``consistency_issues`` is always empty and ``consistent`` always true;
-    both stay in the record and its JSON form.  They check nothing at
-    runtime: the evidence for the block rules is the test suite's frozen
+    so the sequence is exact by construction and the record checks nothing
+    at runtime: the evidence for the block rules is the test suite's frozen
     appendix, its truncated towers, and the Ext cross-check of ``lim1``.
     """
 
@@ -169,11 +171,6 @@ class SixTermSequence:
     lim1_torsion: GroupDescriptor
     lim1: GroupDescriptor
     lim1_power_images: GroupDescriptor
-    consistency_issues: tuple[str, ...] = ()
-
-    @property
-    def consistent(self) -> bool:
-        return not self.consistency_issues
 
     def terms(self) -> tuple[GroupDescriptor, ...]:
         return (
@@ -193,8 +190,10 @@ class SixTermSequence:
         return {
             "p": str(self.prime),
             "terms": {n: t.to_json() for n, t in zip(names, self.terms())},
-            "consistent": self.consistent,
-            "consistency_issues": list(self.consistency_issues),
+            # Constants, pinned by the output digests; ROADMAP item 8 deletes
+            # them when the digests are next re-recorded.
+            "consistent": True,
+            "consistency_issues": [],
         }
 
 
@@ -206,11 +205,10 @@ def six_term_mult_p(g: GroupDescriptor, p: int) -> SixTermSequence:
     the representable blocks the intersection of p-power images is already
     divisible), term 2 is term 3 with Pruefer at p replaced by its universal
     cover, term 4 vanishes on every representable block, and terms 5 and 6
-    are both :func:`lim1_mult_p`.  The record is therefore consistent by
+    are both :func:`lim1_mult_p`.  The sequence is therefore exact by
     construction; the evidence for the rules is in the test suite.
 
-    >>> seq = six_term_mult_p(GroupDescriptor.free(), 2)
-    >>> seq.consistent and seq.lim.is_zero()
+    >>> six_term_mult_p(GroupDescriptor.free(), 2).lim.is_zero()
     True
     >>> print(six_term_mult_p(GroupDescriptor.pruefer_group(3), 3).lim)
     Q^continuum
@@ -285,6 +283,12 @@ def completion_cokernel(
     return tate_module(g_next, p) + lim1_mult_p(g_i, p)
 
 
+# Budgets of finite_quotients: the most quotient classes, and the most
+# classes times invariant factors (each class has at most that many).
+QUOTIENT_MAX_CLASSES = 2 ** 12
+QUOTIENT_MAX_FACTORS = 2 ** 18
+
+
 def extension_classes(d: GroupDescriptor, f: GroupStructure) -> set[GroupDescriptor]:
     """All extensions of a divisible group by a finite group, up to isomorphism.
 
@@ -312,38 +316,55 @@ def extension_classes(d: GroupDescriptor, f: GroupStructure) -> set[GroupDescrip
 def finite_quotients(f: GroupStructure) -> set[GroupStructure]:
     """Isomorphism classes of quotients of a finite abelian group.
 
+    Their number c is counted before any is built: it is the product over
+    the primes of the partitions dominated by each exponent partition.
+    With k invariant factors, the call is refused with
+    :class:`BudgetExceededError` when c exceeds 2^12 or c * k exceeds 2^18.
+
     >>> sorted(str(q) for q in finite_quotients(GroupStructure.from_factors([6])))
     ['0', 'C2', 'C3', 'C6']
     """
     if not f.is_finite():
         raise DomainError("quotient enumeration needs a finite group")
-    primes = set()
-    for m in f.invariant_factors:
-        primes |= set(prime_factors(m))
-    per_prime: list[list[tuple[int, tuple[int, ...]]]] = []
-    for p in sorted(primes):
-        lam = f.p_exponents(p)
-        per_prime.append([(p, mu) for mu in _dominated_partitions(lam)])
+    factors = f.invariant_factors
+    # Every prime of the group divides its largest invariant factor.
+    primes = sorted(prime_factors(factors[-1])) if factors else []
+    partitions = [(p, f.p_exponents(p)) for p in primes]
+    count = prod(_count_dominated_partitions(lam) for _, lam in partitions)
+    if count > QUOTIENT_MAX_CLASSES:
+        raise BudgetExceededError(
+            f"{count} quotient classes exceed the budget of {QUOTIENT_MAX_CLASSES}"
+        )
+    if count * len(factors) > QUOTIENT_MAX_FACTORS:
+        raise BudgetExceededError(
+            f"{count} quotient classes of up to {len(factors)} invariant factors "
+            f"exceed the budget of {QUOTIENT_MAX_FACTORS} factors"
+        )
     results = {GroupStructure()}
-    for options in per_prime:
-        results = {
-            _with_p_part(g, p, mu) for g in results for p, mu in options
-        }
+    for p, lam in partitions:
+        options = _dominated_partitions(lam)
+        results = {_with_p_part(g, p, mu) for g in results for mu in options}
     return results
 
 
+def _count_dominated_partitions(lam: tuple[int, ...]) -> int:
+    # ways[v]: the dominated prefixes mu_1 >= ... >= mu_i with mu_i = v, where
+    # v = 0 once the partition has ended.  The row before the first entry
+    # allows any mu_1 <= lam_1.
+    ways = [0] * lam[0] + [1]
+    for bound in lam:
+        ways = list(accumulate(reversed(ways)))[::-1][:bound + 1]
+    return sum(ways)
+
+
 def _dominated_partitions(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # All partitions mu (weakly decreasing) with mu_i <= lam_i entrywise.
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, prev: int, acc: tuple[int, ...]):
-        out.append(acc)
-        if i == len(lam):
-            return
-        for v in range(1, min(lam[i], prev) + 1):
-            rec(i + 1, v, acc + (v,))
-
-    rec(0, lam[0] if lam else 0, ())
+    # All partitions mu (weakly decreasing) with mu_i <= lam_i entrywise,
+    # grown one entry at a time.
+    out, frontier = [()], [()]
+    for bound in lam:
+        frontier = [mu + (v,) for mu in frontier
+                    for v in range(1, min(bound, mu[-1] if mu else bound) + 1)]
+        out += frontier
     return out
 
 

@@ -98,15 +98,9 @@ class ValidatedSystem:
     coordinate_primes: tuple[frozenset[int], ...]
 
 
-def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
-    """Check all invariants and attach cokernel metadata.
-
-    >>> v = validate_system(InverseSystemSpec.build(1, [], [[5]]))
-    >>> v.p_group_prime
-    5
-    >>> validate_system(InverseSystemSpec.build(2, [], [[1, 6]])).p_group_prime is None
-    True
-    """
+def _check_spec(spec: InverseSystemSpec) -> list[int]:
+    """Check every invariant of the spec, factoring nothing; return the
+    cokernel orders of the prefix maps."""
     r = spec.rank
     if r < 1:
         raise InvalidSystemError("rank must be >= 1")
@@ -124,10 +118,6 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
                 "prefix matrix has zero determinant (infinite cokernel)"
             )
         orders.append(abs(det))
-    # A diagonal cokernel has the prime support of its entries, so each
-    # distinct tail entry is factored, never their product.
-    to_factor = set(orders)
-    entries = []
     for vec in spec.tail_diagonals:
         if len(vec) != r:
             raise InvalidSystemError(
@@ -135,10 +125,24 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
             )
         if 0 in vec:
             raise InvalidSystemError("tail diagonal entries must be nonzero")
-        step = list(map(abs, vec))
-        entries.append(step)
-        orders.append(prod(step))
-        to_factor.update(step)
+    return orders
+
+
+def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
+    """Check all invariants and attach cokernel metadata.
+
+    >>> v = validate_system(InverseSystemSpec.build(1, [], [[5]]))
+    >>> v.p_group_prime
+    5
+    >>> validate_system(InverseSystemSpec.build(2, [], [[1, 6]])).p_group_prime is None
+    True
+    """
+    orders = _check_spec(spec)
+    entries = [list(map(abs, vec)) for vec in spec.tail_diagonals]
+    # A diagonal cokernel has the prime support of its entries, so each
+    # distinct tail entry is factored, never their product.
+    to_factor = set(orders).union(*entries)
+    orders += map(prod, entries)
     primes = {n: frozenset(prime_factors(n) if n > 1 else ()) for n in to_factor}
     support = frozenset().union(*primes.values())
     return ValidatedSystem(
@@ -157,6 +161,17 @@ def _as_validated(system) -> ValidatedSystem:
     if isinstance(system, ValidatedSystem):
         return system
     return validate_system(system)
+
+
+def _unit_coordinates(system) -> list[bool]:
+    # Per tail coordinate, whether every period entry is +-1.  A bare spec
+    # is checked first, but no entry is factored.
+    if isinstance(system, ValidatedSystem):
+        spec = system.spec
+    else:
+        spec = system
+        _check_spec(spec)
+    return [all(abs(d) == 1 for d in column) for column in zip(*spec.tail_diagonals)]
 
 
 def drop_prefix(spec: InverseSystemSpec, k: int) -> InverseSystemSpec:
@@ -180,8 +195,7 @@ def lim_structure(system) -> GroupStructure:
     >>> print(lim_structure(InverseSystemSpec.build(2, [], [[1, 6]])))
     Z
     """
-    primes = _as_validated(system).coordinate_primes
-    return GroupStructure(free_rank=sum(1 for q in primes if not q))
+    return GroupStructure(free_rank=sum(_unit_coordinates(system)))
 
 
 def is_mittag_leffler(system) -> bool:
@@ -195,7 +209,7 @@ def is_mittag_leffler(system) -> bool:
     >>> is_mittag_leffler(InverseSystemSpec.build(1, [], [[5]]))
     False
     """
-    return not any(_as_validated(system).coordinate_primes)
+    return all(_unit_coordinates(system))
 
 
 @record

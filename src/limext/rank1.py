@@ -191,7 +191,6 @@ def ext_to_z(m: EProfile) -> GroupDescriptor:
     )))
 
 
-
 def quotient_mod_z(m: EProfile) -> GroupDescriptor:
     """The quotient M/Z: one cyclic factor Z/p^{e_p} per finite exponent,
     one Pruefer group per infinite exponent.
@@ -209,19 +208,11 @@ def quotient_mod_z(m: EProfile) -> GroupDescriptor:
             "finite nonzero default exponent gives infinitely many cyclic "
             "factors; not representable",
         )
-    cyclic = []
-    pruefer_exceptions = {}
-    for p, e in m.exceptions:
-        if e == INFINITE:
-            if m.default != INFINITE:
-                pruefer_exceptions[p] = 1
-        else:
-            if m.default == INFINITE:
-                pruefer_exceptions[p] = 0
-            if e > 0:
-                cyclic.append(p ** int(e))
-    default_mult = 1 if m.default == INFINITE else 0
+    # build drops the order-1 factors (e_p = 0) and the exceptions that
+    # equal the default.
     return GroupDescriptor.build(
-        cyclic=cyclic,
-        pruefer=PrimeMultiplicity.build(default_mult, pruefer_exceptions),
+        cyclic=[p ** e for p, e in m.exceptions if e != INFINITE],
+        pruefer=PrimeMultiplicity.build(
+            int(m.default == INFINITE), {p: int(e == INFINITE) for p, e in m.exceptions}
+        ),
     )

@@ -24,7 +24,7 @@ from math import lcm
 from ._record import record
 from .descriptors import GroupDescriptor, PrimeMultiplicity
 from .errors import DomainError, SpanError
-from .fg_groups import GroupStructure, TRIVIAL_GROUP
+from .fg_groups import TRIVIAL_GROUP
 from .matrices import IntMatrix
 from .numutil import require_prime
 
@@ -50,7 +50,7 @@ class TaggedGenerators:
 
     >>> gens = TaggedGenerators.build(2, 5, [([1, 0], "local"), ([0, 1], "divisible")])
     >>> classify_submodule(gens)
-    STPair(s=1, t=1, finite_part=GroupStructure(free_rank=0, invariant_factors=()))
+    STPair(s=1, t=1)
     """
 
     rank: int
@@ -108,23 +108,17 @@ class TaggedGenerators:
 
 @record
 class STPair:
-    """The invariants of an extension of Q^t by Z_(p)^s, plus finite data.
+    """The invariants of an extension of Q^t by Z_(p)^s.
 
-    ``finite_part`` is the torsion: the trivial group for a submodule of
-    Q^r (torsion free), or None when only "some finite p-group" is known.
+    A submodule of Q^r is torsion free, so its finite part, which the JSON
+    form still writes, is the trivial group.
     """
 
     s: int
     t: int
-    finite_part: GroupStructure | None = TRIVIAL_GROUP
 
     def to_json(self) -> dict:
-        out = {"s": str(self.s), "t": str(self.t)}
-        if self.finite_part is None:
-            out["finite_part"] = "undetermined finite p-group"
-        else:
-            out["finite_part"] = self.finite_part.to_json()
-        return out
+        return {"s": str(self.s), "t": str(self.t), "finite_part": TRIVIAL_GROUP.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +145,7 @@ def classify_submodule(gens: TaggedGenerators) -> STPair:
     >>> gens = TaggedGenerators.build(
     ...     2, 3, [([1, 1], "divisible"), ([1, 0], "local"), ([0, 1], "local")])
     >>> classify_submodule(gens)
-    STPair(s=1, t=1, finite_part=GroupStructure(free_rank=0, invariant_factors=()))
+    STPair(s=1, t=1)
     """
     if _rational_rank(g.vector for g in gens.generators) != gens.rank:
         raise SpanError(
@@ -192,14 +186,14 @@ class KernelStructure:
     The divisible part is (Q/Z')^s + (Q/Z)^t relative to ``prime`` (the
     apostrophe marking the removal of the p-primary part); ``descriptor``
     encodes it as Pruefer multiplicities.  The finite p-group summand P is
-    undetermined and carried as a flag, never an invented order.
+    always present and of undetermined order: the JSON form flags it, and no
+    order is ever invented.
     """
 
     prime: int
     s: int
     t: int
     descriptor: GroupDescriptor
-    undetermined_finite_p_part: bool = True
 
     @property
     def is_finite(self) -> bool:
@@ -223,7 +217,7 @@ class KernelStructure:
             "s": str(self.s),
             "t": str(self.t),
             "descriptor": self.descriptor.to_json(),
-            "undetermined_finite_p_part": self.undetermined_finite_p_part,
+            "undetermined_finite_p_part": True,
             "display": self.display(),
         }
 

