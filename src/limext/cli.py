@@ -354,6 +354,30 @@ def _fail(code: str, message: str, output: str | None, status: int) -> int:
     return status
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds the subcommand's arguments when it
+    first parses.  argparse parses with the one subparser that argv names
+    (``limext <cmd> -h`` too), so a call builds one subcommand's arguments
+    instead of ten; usage, help and errors are those of the eager parser."""
+
+    _arguments_added = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not self._arguments_added:
+            self._arguments_added = True
+            self.add_argument(
+                "payload", nargs="?", default=None,
+                help="JSON payload (omit or use '-' to read stdin)",
+            )
+            self.add_argument("--input", "-i", default=None, help="read payload from a file")
+            self.add_argument("--output", "-o", default=None, help="write result to a file")
+            self.add_argument(
+                "--schema", action="store_true", dest="print_schema",
+                help="print this subcommand's schema and exit",
+            )
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limext",
@@ -363,19 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--schema", metavar="SUBCOMMAND", default=None,
         help="print the JSON schema for a subcommand and exit",
     )
-    sub = parser.add_subparsers(dest="subcommand")
+    sub = parser.add_subparsers(dest="subcommand", parser_class=_SubcommandParser)
     for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=f"run the {name} operation")
-        sp.add_argument(
-            "payload", nargs="?", default=None,
-            help="JSON payload (omit or use '-' to read stdin)",
-        )
-        sp.add_argument("--input", "-i", default=None, help="read payload from a file")
-        sp.add_argument("--output", "-o", default=None, help="write result to a file")
-        sp.add_argument(
-            "--schema", action="store_true", dest="print_schema",
-            help="print this subcommand's schema and exit",
-        )
+        sub.add_parser(name, help=f"run the {name} operation")
     return parser
 
 

@@ -89,13 +89,22 @@ class ValidatedSystem:
     """A system spec with checked invariants and cokernel metadata attached."""
 
     spec: InverseSystemSpec
-    cokernel_orders: tuple[int, ...]
+    # |det| of each prefix map.
+    prefix_orders: tuple[int, ...]
     cokernel_prime_support: tuple[int, ...]
     # The unique prime p when every transition cokernel is a p-group and at
     # least one is nontrivial; None otherwise.
     p_group_prime: int | None
     # Per tail coordinate, the primes dividing some entry of its period.
     coordinate_primes: tuple[frozenset[int], ...]
+
+    @property
+    def cokernel_orders(self) -> tuple[int, ...]:
+        """The cokernel order of each prefix map and then of each tail step
+        of one period.  Nothing else reads the tail products, so they are
+        multiplied here, not on every validation."""
+        return self.prefix_orders + tuple(
+            prod(map(abs, vec)) for vec in self.spec.tail_diagonals)
 
 
 def _check_spec(spec: InverseSystemSpec) -> list[int]:
@@ -142,12 +151,11 @@ def validate_system(spec: InverseSystemSpec) -> ValidatedSystem:
     # A diagonal cokernel has the prime support of its entries, so each
     # distinct tail entry is factored, never their product.
     to_factor = set(orders).union(*entries)
-    orders += map(prod, entries)
     primes = {n: frozenset(prime_factors(n) if n > 1 else ()) for n in to_factor}
     support = frozenset().union(*primes.values())
     return ValidatedSystem(
         spec=spec,
-        cokernel_orders=tuple(orders),
+        prefix_orders=tuple(orders),
         cokernel_prime_support=tuple(sorted(support)),
         p_group_prime=next(iter(support)) if len(support) == 1 else None,
         # Per coordinate, the union of its entries' primes over the period.

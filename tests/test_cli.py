@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import io
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from limext.cli import _HANDLERS, SUBCOMMANDS, _schema_document, load_schema, main
+from limext.cli import _HANDLERS, SUBCOMMANDS, _build_parser, _schema_document, load_schema, main
 
 
 def run(capsys, *argv):
@@ -141,6 +142,67 @@ def test_exit_codes(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and captured.err.startswith("usage: limext")
+
+
+def _eager_parser() -> argparse.ArgumentParser:
+    """The parser as it was built before subcommand arguments were added on
+    first parse: every subparser complete up front."""
+    parser = argparse.ArgumentParser(
+        prog="limext",
+        description="Batch JSON interface to the structure-theory library.",
+    )
+    parser.add_argument(
+        "--schema", metavar="SUBCOMMAND", default=None,
+        help="print the JSON schema for a subcommand and exit",
+    )
+    sub = parser.add_subparsers(dest="subcommand")
+    for name in SUBCOMMANDS:
+        sp = sub.add_parser(name, help=f"run the {name} operation")
+        sp.add_argument(
+            "payload", nargs="?", default=None,
+            help="JSON payload (omit or use '-' to read stdin)",
+        )
+        sp.add_argument("--input", "-i", default=None, help="read payload from a file")
+        sp.add_argument("--output", "-o", default=None, help="write result to a file")
+        sp.add_argument(
+            "--schema", action="store_true", dest="print_schema",
+            help="print this subcommand's schema and exit",
+        )
+    return parser
+
+
+def _parse(parser, argv, capsys):
+    """Everything ``parse_args`` shows: the namespace or exit code, stdout, stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+PARSER_ARGVS = [
+    [], ["-h"], ["--schema", "lim1"], ["--schema", "nope"], ["nope"],
+    *([name, "-h"] for name in SUBCOMMANDS),
+    ["group", "--bogus"], ["group", "-i"], ["group", "-o"], ["group", "a", "b"],
+    ["group", "--schema"], ["group", "-", "--output", "f"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_parser_matches_the_eager_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(_build_parser(), argv, capsys) == _parse(_eager_parser(), argv, capsys)
+
+
+def test_parser_builds_only_the_subcommand_it_runs():
+    parser = _build_parser()
+    parser.parse_args(["group", "{}"])
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    built = {name: [a.dest for a in sp._actions] for name, sp in subparsers.choices.items()}
+    assert built.pop("group") == ["help", "payload", "input", "output", "print_schema"]
+    assert set(built) == set(SUBCOMMANDS) - {"group"}
+    assert all(dests == ["help"] for dests in built.values()), built
 
 
 def test_unexpected_handler_failure_is_an_internal_error(capsys, monkeypatch):

@@ -1,6 +1,9 @@
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limext import (
     DomainError,
@@ -18,7 +21,7 @@ from limext import (
 )
 from limext.descriptors import CONTINUUM, PrimeMultiplicity
 from limext.inverse_systems import Lim1Class
-from support import random_system
+from support import random_nonsingular, random_system
 
 
 def diag_system(*vecs, rank=None, prefix=()):
@@ -35,6 +38,24 @@ def test_validate_attaches_cokernel_metadata():
     assert v.cokernel_orders == (6,)
     assert v.p_group_prime is None
     assert v.cokernel_prime_support == (2, 3)
+
+
+_entry = st.integers(1, 10**9) | st.integers(-10**9, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.just(r), st.integers(0, 2), st.integers(0, 2**32),
+    st.lists(st.lists(_entry, min_size=r, max_size=r), min_size=1, max_size=3))))
+def test_cokernel_orders_equal_the_eager_products(case):
+    rank, prefix_len, seed, tail = case
+    rng = random.Random(seed)
+    prefix = [random_nonsingular(rng, rank, bound=10) for _ in range(prefix_len)]
+    v = validate_system(InverseSystemSpec.build(rank, prefix, tail))
+    # The tuple validate_system built before the tail products were deferred.
+    eager = [abs(m.determinant()) for m in prefix]
+    eager += [prod(abs(d) for d in vec) for vec in tail]
+    assert v.cokernel_orders == tuple(eager)
 
 
 def test_validate_rejections():

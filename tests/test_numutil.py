@@ -5,7 +5,8 @@ import pytest
 from support import trial_factor
 
 from limext.errors import NotPrimeError, UnsupportedInputError
-from limext.numutil import is_prime, prime_factors, prime_to_p_part, require_prime, vp
+from limext.numutil import (_strong_lucas_probable_prime, _strong_probable_prime, is_prime,
+                            prime_factors, prime_to_p_part, require_prime, vp)
 
 
 def test_is_prime_small_range():
@@ -28,6 +29,32 @@ def test_is_prime_larger_values():
     # The least strong pseudoprimes to the prime bases 2..37 and 2..41.
     assert not is_prime(399165290221 * 798330580441)
     assert not is_prime(1287836182261 * 2575672364521)
+
+
+def test_baillie_psw_from_psi_13_up():
+    psi_13 = 1287836182261 * 2575672364521
+    above = [2 ** 89 - 1, 2 ** 127 - 1, 2 ** 521 - 1]
+    for m in above:
+        assert m > psi_13 and is_prime(m)
+    mersenne = [2 ** 31 - 1, 2 ** 61 - 1, *above]
+    for i, p in enumerate(mersenne):
+        for q in mersenne[i:]:
+            if p * q >= psi_13:
+                assert not is_prime(p * q), (p, q)
+
+
+def test_strong_lucas_step_against_trial_division():
+    # Odd n < 10**5: the strong Lucas pseudoprimes there start 5459, 5777,
+    # and none of them is a strong probable prime to base 2.
+    lucas_pseudoprimes = []
+    for n in range(3, 10 ** 5, 2):
+        prime = trial_factor(n) == {n: 1}
+        lucas = _strong_lucas_probable_prime(n)
+        assert lucas or not prime, n
+        if lucas and not prime:
+            lucas_pseudoprimes.append(n)
+            assert not _strong_probable_prime(n, (2,)), n
+    assert lucas_pseudoprimes[:2] == [5459, 5777]
 
 
 def _strong_probable_prime_base_2(n: int) -> bool:
