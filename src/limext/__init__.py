@@ -9,13 +9,15 @@ reports for arithmetic families.
 Importing the package runs none of its modules.  Each submodule is in
 ``sys.modules`` from the start, loaded lazily, and runs when something first
 reads an attribute of it; a public name such as ``limext.IntMatrix`` runs the
-one submodule that defines it (and whatever that submodule imports).
+one submodule that defines it (and whatever that submodule imports).  First
+reads are safe from any number of threads.
 """
 
 import sys as _sys
-from importlib.util import LazyLoader as _LazyLoader
+from _thread import RLock as _RLock
 from importlib.util import find_spec as _find_spec
 from importlib.util import module_from_spec as _module_from_spec
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -66,12 +68,58 @@ _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_SOURCE)
 
 
+# Serialises every first load: a thread that reads a module while another
+# runs its code waits for it.  Reentrant, because a module's code reads the
+# modules it imports, and so runs them, while the lock is held.
+_LOAD_LOCK = _RLock()
+
+
+class _Lazy(_ModuleType):
+    """A module whose code runs when one of its attributes is first read.
+
+    The class becomes ``ModuleType`` only after the code has run, so no
+    thread sees a plain module that is still empty.  While the code runs,
+    ``__spec__.loader_state`` is set, and the loading thread (the only one
+    that can hold the lock then) reads the module as it stands.  If the code
+    raises, the module gets back the namespace it had before and stays lazy,
+    so the next read runs the code again, as a failed import is retried.
+    """
+
+    def __getattribute__(self, attr):
+        get = _ModuleType.__getattribute__
+        with _LOAD_LOCK:
+            spec = get(self, "__spec__")
+            if type(self) is _Lazy and spec.loader_state is None:
+                namespace = get(self, "__dict__")
+                before = dict(namespace)
+                spec.loader_state = "running"
+                try:
+                    spec.loader.exec_module(self)
+                except BaseException:
+                    namespace.clear()
+                    namespace.update(before)
+                    raise
+                finally:
+                    spec.loader_state = None
+                _ModuleType.__setattr__(self, "__class__", _ModuleType)
+        return get(self, attr)
+
+    # Setting or deleting runs the code first, so that it cannot overwrite
+    # what is set or bring back what is deleted.
+    def __setattr__(self, attr, value):
+        _Lazy.__getattribute__(self, "__dict__")
+        _ModuleType.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        _Lazy.__getattribute__(self, "__dict__")
+        _ModuleType.__delattr__(self, attr)
+
+
 def _register_lazily(name):
     spec = _find_spec(f"{__name__}.{name}")
-    spec.loader = _LazyLoader(spec.loader)
     module = _module_from_spec(spec)
+    module.__class__ = _Lazy
     _sys.modules[spec.name] = module
-    spec.loader.exec_module(module)     # defers the real exec to first use
     return module
 
 

@@ -82,6 +82,21 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
+def _length_bound(schema: dict) -> int | None:
+    """``maxLength`` capped at the int-to-str digit limit in force now: every
+    bounded string is a digit string, which int() refuses past that limit,
+    however the schema bounds it."""
+    bound = schema.get("maxLength")
+    return bound if bound is None else min(bound, _digit_limit() or bound)
+
+
+def _resolve(schema: dict, defs: dict) -> dict:
+    """The definition that a local ``$ref`` names, or else the schema itself."""
+    if "$ref" in schema:
+        return defs[schema["$ref"].removeprefix("#/$defs/")]
+    return schema
+
+
 _TYPE_CHECKS = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
@@ -100,8 +115,7 @@ def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None)
     ``maxLength`` is capped at the interpreter's int-to-str digit limit.
     """
     defs = schema.get("$defs", {}) if defs is None else defs
-    if "$ref" in schema:
-        schema = defs[schema["$ref"].removeprefix("#/$defs/")]
+    schema = _resolve(schema, defs)
     if "oneOf" in schema:
         errors = []
         for option in schema["oneOf"]:
@@ -124,13 +138,9 @@ def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None)
         if not any(_TYPE_CHECKS[t](instance) for t in types):
             raise SchemaViolation(f"{path}: expected {' or '.join(types)}")
     if isinstance(instance, str):
-        bound = schema.get("maxLength")
-        if bound is not None:
-            # Every bounded string is a digit string, which int() refuses
-            # past the limit in force now, however the schema bounds it.
-            bound = min(bound, _digit_limit() or bound)
-            if len(instance) > bound:
-                raise SchemaViolation(f"{path}: expected at most {bound} characters")
+        bound = _length_bound(schema)
+        if bound is not None and len(instance) > bound:
+            raise SchemaViolation(f"{path}: expected at most {bound} characters")
         if "pattern" in schema and not re.fullmatch(schema["pattern"], instance):
             raise SchemaViolation(f"{path}: {instance!r} does not match "
                                   f"{schema['pattern']}")
@@ -155,8 +165,40 @@ def _validate(instance, schema: dict, path: str = "$", defs: dict | None = None)
             raise SchemaViolation(f"{path}: expected at least "
                                   f"{schema['minItems']} items")
         if "items" in schema:
-            for i, item in enumerate(instance):
-                _validate(item, schema["items"], f"{path}[{i}]", defs)
+            items = _resolve(schema["items"], defs)
+            if items.keys() <= _SCALAR_KEYWORDS:
+                _validate_scalars(instance, items, path, defs)
+            else:
+                for i, item in enumerate(instance):
+                    _validate(item, items, f"{path}[{i}]", defs)
+
+
+# The keywords a scalar's schema may use for _validate_scalars to check it;
+# the int and uint entries of every matrix and tail diagonal use just these.
+_SCALAR_KEYWORDS = frozenset({"type", "maxLength", "pattern"})
+
+
+def _validate_scalars(instance: list, items: dict, path: str, defs: dict) -> None:
+    """Check each item of ``instance`` against ``items``, a schema that uses
+    only ``_SCALAR_KEYWORDS``, with one inline test per item instead of one
+    ``_validate`` call.  The test accepts only what ``_validate`` accepts; an
+    item it does not accept goes to ``_validate``, which raises the message
+    it always raises.  The digit limit is read on each call, since it can be
+    changed at any time."""
+    types = items.get("type", ("string", "integer"))
+    if isinstance(types, str):
+        types = (types,)
+    strings, integers = "string" in types, "integer" in types
+    bound = _length_bound(items)
+    bound = sys.maxsize if bound is None else bound
+    match = re.compile(items.get("pattern", "(?s).*")).fullmatch
+    for i, item in enumerate(instance):
+        cls = type(item)
+        if cls is str and strings and len(item) <= bound and match(item):
+            continue
+        if cls is int and integers:
+            continue
+        _validate(item, items, f"{path}[{i}]", defs)
 
 
 # ---------------------------------------------------------------------------

@@ -172,14 +172,14 @@ def _as_validated(system) -> ValidatedSystem:
 
 
 def _unit_coordinates(system) -> list[bool]:
-    # Per tail coordinate, whether every period entry is +-1.  A bare spec
-    # is checked first, but no entry is factored.
+    # Per tail coordinate, whether every period entry is +-1.  A validated
+    # system answers from its coordinate primes: tail entries are nonzero,
+    # so a coordinate has no prime exactly when all its entries are units.
+    # A bare spec is checked first, but no entry is factored.
     if isinstance(system, ValidatedSystem):
-        spec = system.spec
-    else:
-        spec = system
-        _check_spec(spec)
-    return [all(abs(d) == 1 for d in column) for column in zip(*spec.tail_diagonals)]
+        return [not primes for primes in system.coordinate_primes]
+    _check_spec(system)
+    return [all(abs(d) == 1 for d in column) for column in zip(*system.tail_diagonals)]
 
 
 def drop_prefix(spec: InverseSystemSpec, k: int) -> InverseSystemSpec:

@@ -3,6 +3,7 @@ import ast
 import hashlib
 import io
 import json
+import re
 import sys
 import time
 from collections import Counter
@@ -788,3 +789,167 @@ def test_validate_agrees_with_jsonschema():
             divergent[repr(leaves[0])] += 1
     assert agreed[True] > 200 and agreed[False] > 2000
     assert set(divergent) == {repr(leaf) for leaf in _DIVERGENT_LEAVES}
+
+
+_ORACLE_TYPE_CHECKS = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "boolean": lambda x: isinstance(x, bool),
+}
+
+
+def _oracle_validate(instance, schema, path="$", defs=None):
+    """``limext.cli._validate`` as it was before arrays of scalars were
+    checked in one loop: one recursive call per item, the digit limit read
+    per string."""
+    from limext.cli import SchemaViolation
+
+    defs = schema.get("$defs", {}) if defs is None else defs
+    if "$ref" in schema:
+        schema = defs[schema["$ref"].removeprefix("#/$defs/")]
+    if "oneOf" in schema:
+        errors = []
+        for option in schema["oneOf"]:
+            try:
+                _oracle_validate(instance, option, path, defs)
+                return
+            except SchemaViolation as exc:
+                errors.append(str(exc))
+        raise SchemaViolation(f"{path}: no schema alternative matched "
+                              f"({'; '.join(errors)})")
+    if "enum" in schema:
+        if instance not in schema["enum"]:
+            raise SchemaViolation(f"{path}: expected one of {schema['enum']}, "
+                                  f"got {instance!r}")
+        return
+    types = schema.get("type")
+    if types is not None:
+        if isinstance(types, str):
+            types = [types]
+        if not any(_ORACLE_TYPE_CHECKS[t](instance) for t in types):
+            raise SchemaViolation(f"{path}: expected {' or '.join(types)}")
+    if isinstance(instance, str):
+        bound = schema.get("maxLength")
+        if bound is not None:
+            bound = min(bound, getattr(sys, "get_int_max_str_digits", int)() or bound)
+            if len(instance) > bound:
+                raise SchemaViolation(f"{path}: expected at most {bound} characters")
+        if "pattern" in schema and not re.fullmatch(schema["pattern"], instance):
+            raise SchemaViolation(f"{path}: {instance!r} does not match "
+                                  f"{schema['pattern']}")
+    if isinstance(instance, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in instance:
+                raise SchemaViolation(f"{path}: missing required key {key!r}")
+        if "propertyNames" in schema:
+            for key in instance:
+                _oracle_validate(key, schema["propertyNames"], path, defs)
+        extra = schema.get("additionalProperties", True)
+        for key, value in instance.items():
+            if key in props:
+                _oracle_validate(value, props[key], f"{path}.{key}", defs)
+            elif extra is False:
+                raise SchemaViolation(f"{path}: unexpected key {key!r}")
+            elif isinstance(extra, dict):
+                _oracle_validate(value, extra, f"{path}.{key}", defs)
+    if isinstance(instance, list):
+        if len(instance) < schema.get("minItems", 0):
+            raise SchemaViolation(f"{path}: expected at least "
+                                  f"{schema['minItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(instance):
+                _oracle_validate(item, schema["items"], f"{path}[{i}]", defs)
+
+
+def _verdicts(instance, cmd):
+    """What ``_validate`` and the oracle say of instance: None or the message."""
+    from limext.cli import SchemaViolation, _validate
+
+    document = _schema_document()
+    verdicts = []
+    for validate in (_validate, _oracle_validate):
+        try:
+            validate(instance, document[cmd], "$", document["$defs"])
+            verdicts.append(None)
+        except SchemaViolation as exc:
+            verdicts.append(str(exc))
+    return verdicts
+
+
+def test_validate_matches_the_recursive_oracle_on_mutated_payloads():
+    outcomes = Counter()
+    for cmd, payload in _literal_payloads():
+        for instance in [payload, *_mutations(payload)]:
+            ours, oracle = _verdicts(instance, cmd)
+            assert ours == oracle, (cmd, instance)
+            outcomes[ours is None] += 1
+    assert outcomes[True] > 200 and outcomes[False] > 2000
+
+
+def _longest_scalar_array(node, best=None):
+    """The longest list in node whose items are all scalars."""
+    if isinstance(node, dict):
+        for value in node.values():
+            best = _longest_scalar_array(value, best)
+    elif isinstance(node, list):
+        if node and not any(isinstance(item, (dict, list)) for item in node):
+            if best is None or len(node) > len(best):
+                best = node
+        for item in node:
+            best = _longest_scalar_array(item, best)
+    return best
+
+
+def test_validate_matches_the_oracle_on_bad_leaves_in_workload_arrays(monkeypatch):
+    # The first payload of each structure and snf-transforms kind, with one
+    # bad leaf at the first, a middle and the last index of its longest
+    # array of scalars: the arrays that validation checks in one loop.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import random
+
+    from workloads import snf_transforms, structure
+
+    firsts = {}
+    for kind, cmd, payload, _, _ in structure(random.Random(7)) + snf_transforms(random.Random(7)):
+        firsts.setdefault(kind, (cmd, payload))
+    assert len(firsts) == 12
+    for kind, (cmd, payload) in firsts.items():
+        assert _verdicts(payload, cmd) == [None, None], kind
+        array = _longest_scalar_array(payload)
+        for index in {0, len(array) // 2, len(array) - 1}:
+            saved = array[index]
+            for leaf in ("x", -1, 1.5, True, None, "12\n", 2.0):
+                array[index] = leaf
+                ours, oracle = _verdicts(payload, cmd)
+                assert ours == oracle, (kind, index, leaf)
+                assert leaf == -1 or f"[{index}]: " in ours, (kind, index, leaf)
+            array[index] = saved
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str digit limit")
+def test_validate_matches_the_oracle_on_digit_strings_at_the_limit():
+    # Long digit strings as a scalar, as a matrix entry and as a tail entry,
+    # under the default limit, under a lowered one and under the default again.
+    saved = sys.get_int_max_str_digits()
+    rejected = Counter()
+    try:
+        for limit in (saved, 1000, saved):
+            sys.set_int_max_str_digits(limit)
+            for n in (999, 1000, 1001, 4300, 4301):
+                digits = "7" * n
+                for cmd, instance in [
+                    ("valuation", {"op": "factorial", "p": "2", "n": digits}),
+                    ("snf", {"rows": "1", "cols": "3", "entries": [["1", digits, "2"]]}),
+                    ("lim1", {"rank": "2", "tail": {"diagonals": [["1", "2"], [digits, "3"]]}}),
+                ]:
+                    ours, oracle = _verdicts(instance, cmd)
+                    assert ours == oracle, (limit, n, cmd)
+                    if ours is not None:
+                        rejected[limit, n] += 1
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert rejected == {(saved, 4301): 6, (1000, 1001): 3, (1000, 4300): 3, (1000, 4301): 3}

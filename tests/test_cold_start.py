@@ -1,10 +1,12 @@
 """What importing the package and the CLI runs, checked in fresh interpreters."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -142,3 +144,72 @@ with redirect_stdout(io.StringIO()):
 print(json.dumps([code, "fractions" in sys.modules, "decimal" in sys.modules]))
 """
     assert run_probe(probe) == [0, False, False]
+
+
+def test_threads_reading_modules_first_see_them_loaded():
+    # Eight threads, released together, each read a name from a module that
+    # has not run yet; one module per round.  A loader that made the module
+    # plain before running its code lets most threads see it empty.
+    probe = """
+import json, sys, threading
+import limext
+FIRST_READS = [("descriptors", "GroupDescriptor"), ("functors", "tate_module"),
+               ("invariants", "invariant_report"), ("valuations", "vp_factorial")]
+failures, hung = [], 0
+sys.setswitchinterval(1e-6)
+for module, name in FIRST_READS:
+    barrier = threading.Barrier(8)
+    def first_read():
+        barrier.wait()
+        try:
+            getattr(getattr(limext, module), name)
+        except AttributeError as exc:
+            failures.append(str(exc))
+    threads = [threading.Thread(target=first_read) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    hung += sum(thread.is_alive() for thread in threads)
+print(json.dumps([hung, failures]))
+"""
+    assert run_probe(probe) == [0, []]
+
+
+def _lazy_module(path):
+    """A module of the file at path, lazy as the package's modules are."""
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(path.stem, path))
+    module.__class__ = limext._Lazy
+    return module
+
+
+def test_a_module_whose_first_run_raises_runs_again_on_the_next_read(tmp_path, monkeypatch):
+    # The failed run leaves neither a half-run namespace nor a plain module:
+    # the module stays lazy, and the next read runs its code from the start.
+    path = tmp_path / "flaky.py"
+    path.write_text("import sys\nruns = getattr(sys, 'flaky_runs', 0) + 1\n"
+                    "sys.flaky_runs = runs\n"
+                    "if runs == 1:\n    raise RuntimeError('first run fails')\n"
+                    "value = 42\n")
+    monkeypatch.setattr(sys, "flaky_runs", 0, raising=False)
+    module = _lazy_module(path)
+    namespace = types.ModuleType.__getattribute__(module, "__dict__")
+    before = dict(namespace)
+
+    with pytest.raises(RuntimeError, match="first run fails"):
+        module.value
+    assert type(module) is limext._Lazy and namespace == before
+    assert module.value == 42 and module.runs == 2 == sys.flaky_runs
+    assert type(module) is types.ModuleType
+
+
+def test_names_set_or_deleted_before_the_first_read_stay_so(tmp_path):
+    path = tmp_path / "plain.py"
+    path.write_text("value = 1\nother = 2\n")
+    module = _lazy_module(path)
+    module.value = "set"
+    assert type(module) is types.ModuleType and module.value == "set"
+    module = _lazy_module(path)
+    del module.other
+    assert type(module) is types.ModuleType and not hasattr(module, "other")

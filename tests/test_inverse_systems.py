@@ -58,6 +58,26 @@ def test_cokernel_orders_equal_the_eager_products(case):
     assert v.cokernel_orders == tuple(eager)
 
 
+# Units and small repeated entries often, so that all-unit coordinates occur.
+_tail_entry = st.sampled_from((1, -1)) | st.sampled_from((1, -1, 2, -2, 3, 6)) | _entry
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.just(r), st.integers(0, 2), st.integers(0, 2**32),
+    st.lists(st.lists(_tail_entry, min_size=r, max_size=r), min_size=1, max_size=3))))
+def test_validated_and_bare_systems_give_the_same_limit(case):
+    # A validated system answers from its coordinate primes, a bare spec
+    # from its tail entries.
+    rank, prefix_len, seed, tail = case
+    rng = random.Random(seed)
+    prefix = [random_nonsingular(rng, rank, bound=10) for _ in range(prefix_len)]
+    spec = InverseSystemSpec.build(rank, prefix, tail)
+    v = validate_system(spec)
+    assert lim_structure(v) == lim_structure(spec)
+    assert is_mittag_leffler(v) is is_mittag_leffler(spec)
+
+
 def test_validate_rejections():
     with pytest.raises(InvalidSystemError):
         validate_system(InverseSystemSpec.build(
