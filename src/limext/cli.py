@@ -25,6 +25,7 @@ import functools
 import json
 import re
 import sys
+from gettext import gettext
 from importlib import resources
 
 from . import (descriptors, errors, fg_groups, functors, invariants, inverse_systems, matrices,
@@ -397,16 +398,20 @@ def _fail(code: str, message: str, output: str | None, status: int) -> int:
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, which adds the subcommand's arguments when it
-    first parses.  argparse parses with the one subparser that argv names
-    (``limext <cmd> -h`` too), so a call builds one subcommand's arguments
-    instead of ten; usage, help and errors are those of the eager parser."""
+    """A subcommand's parser, built without ``-h``, which adds ``-h`` and the
+    subcommand's arguments when it first parses.  argparse parses with the
+    one subparser that argv names (``limext <cmd> -h`` too), so a call builds
+    one subcommand's arguments instead of ten; usage, help and errors are
+    those of the eager parser."""
 
     _arguments_added = False
 
     def parse_known_args(self, args=None, namespace=None):
         if not self._arguments_added:
             self._arguments_added = True
+            # What add_help=True adds, with argparse's own message lookup.
+            self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                              help=gettext("show this help message and exit"))
             self.add_argument(
                 "payload", nargs="?", default=None,
                 help="JSON payload (omit or use '-' to read stdin)",
@@ -431,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", parser_class=_SubcommandParser)
     for name in SUBCOMMANDS:
-        sub.add_parser(name, help=f"run the {name} operation")
+        sub.add_parser(name, help=f"run the {name} operation", add_help=False)
     return parser
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import count
 from math import gcd, isqrt
 
 from .errors import NotPrimeError, UnsupportedInputError
@@ -111,17 +112,22 @@ def require_prime(p: int, what: str = "modulus") -> int:
     return p
 
 
-_TRIAL_LIMIT = 1 << 20
+_TRIAL_LIMIT = 1 << 12
+# Brent's rho takes at most this many steps divided by the bit length of
+# what trial division leaves (at least 128): 2**21 steps up to 128 bits,
+# fewer beyond, since a step squares an integer of that length.
+_RHO_BUDGET = 1 << 28
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}.
+    """Prime factorization of |n| as {prime: exponent}, primes ascending.
 
-    Trial division up to about a million, then a primality test on the
-    remainder.  Fine at desk scale and for large prime or near-prime
-    inputs; a remainder with two huge prime factors is rejected rather than
-    ground at.  Call it only where primes are the answer: normalising cyclic
-    orders needs none (see ``GroupStructure.from_factors``).
+    Trial division below 2**12, then a primality test, a perfect-power test
+    and Brent's rho on what remains.  Rho splits off prime factors up to
+    about 2**38 within its step budget; a remainder it cannot split within
+    the budget is rejected rather than ground at.  Call it only where primes
+    are the answer: normalising cyclic orders needs none (see
+    ``GroupStructure.from_factors``).
     """
     n = abs(n)
     if n == 0:
@@ -139,17 +145,68 @@ def prime_factors(n: int) -> dict[int, int]:
                 n //= p
         f += 6
     if n > 1:
-        if f * f <= n and not is_prime(n):
-            # Perfect powers of a large prime still factor cheaply.
-            root, exp = _perfect_prime_power(n)
-            if root is None:
-                raise UnsupportedInputError(
-                    f"factorization beyond desk scale: remaining factor {n}"
-                )
-            out[root] = out.get(root, 0) + exp
-        else:
-            out[n] = out.get(n, 0) + 1
+        out.update(_large_prime_factors(n) if f * f <= n else {n: 1})
     return out
+
+
+def _large_prime_factors(n: int) -> dict[int, int]:
+    """{prime: exponent} of n > 1, which has no prime factor below
+    ``_TRIAL_LIMIT``, primes ascending."""
+    steps = _RHO_BUDGET // max(n.bit_length(), 128)
+    out: dict[int, int] = {}
+    todo = [(n, 1)]
+    while todo:
+        m, e = todo.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + e
+            continue
+        # rho cannot split the power of a large prime, but this finds it.
+        root, exp = _perfect_prime_power(m)
+        if root is not None:
+            out[root] = out.get(root, 0) + e * exp
+            continue
+        d, steps = _brent_rho(m, steps)
+        todo += [(d, e), (m // d, e)]
+    return dict(sorted(out.items()))
+
+
+def _brent_rho(n: int, steps: int) -> tuple[int, int]:
+    """A proper divisor of n, an odd composite that is not a prime power, and
+    the steps left of ``steps``.  Brent's rho (BIT 1980) iterates
+    x -> x*x + c from x = 2 for c = 1, 2, ... in turn, so the same n always
+    takes the same path; it multiplies 128 differences before each gcd, and
+    steps back one at a time when a batch gives n itself."""
+    for c in count(1):          # ends when a c splits n or the steps run out
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            steps = _spend(steps, r, n)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys, batch = y, min(128, r - k)
+                steps = _spend(steps, batch, n)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, steps
+
+
+def _spend(steps: int, cost: int, n: int) -> int:
+    """The steps left after ``cost`` more; a refusal of n if too few are left."""
+    if cost > steps:
+        raise UnsupportedInputError(f"factorization beyond desk scale: remaining factor {n}")
+    return steps - cost
 
 
 def _iroot(n: int, k: int) -> int:
@@ -165,11 +222,21 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _perfect_prime_power(n: int):
-    for exp in range(2, n.bit_length()):
+    """(p, e) with n = p**e, p prime and e >= 2, or (None, None), for n with
+    no prime factor below _TRIAL_LIMIT: so p**e >= _TRIAL_LIMIT**e bounds e.
+    Prime exponents suffice, since p**e is the q-th power of p**(e/q) for
+    any prime q dividing e, and that root is a prime power exactly when n is.
+    """
+    for exp in range(2, (n.bit_length() - 1) // (_TRIAL_LIMIT.bit_length() - 1) + 1):
+        if not is_prime(exp):
+            continue
         root = _iroot(n, exp)
         for candidate in (root, root + 1):
-            if candidate > 1 and candidate ** exp == n and is_prime(candidate):
-                return candidate, exp
+            if candidate ** exp == n:
+                if is_prime(candidate):
+                    return candidate, exp
+                p, e = _perfect_prime_power(candidate)
+                return (p, e * exp) if p else (None, None)
     return None, None
 
 

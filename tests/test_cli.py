@@ -187,6 +187,10 @@ PARSER_ARGVS = [
     *([name, "-h"] for name in SUBCOMMANDS),
     ["group", "--bogus"], ["group", "-i"], ["group", "-o"], ["group", "a", "b"],
     ["group", "--schema"], ["group", "-", "--output", "f"],
+    # Where -h sits, and abbreviations of --help, among the deferred arguments.
+    ["group", "--help"], ["group", "--he"], ["group", "--h"], ["group", "{}", "-h"],
+    ["group", "-h", "{}"], ["group", "-i", "f", "-h"], ["group", "-hi", "f"], ["group", "-ih"],
+    ["group", "-x"],
 ]
 
 
@@ -203,7 +207,7 @@ def test_parser_builds_only_the_subcommand_it_runs():
     built = {name: [a.dest for a in sp._actions] for name, sp in subparsers.choices.items()}
     assert built.pop("group") == ["help", "payload", "input", "output", "print_schema"]
     assert set(built) == set(SUBCOMMANDS) - {"group"}
-    assert all(dests == ["help"] for dests in built.values()), built
+    assert all(dests == [] for dests in built.values()), built
 
 
 def test_unexpected_handler_failure_is_an_internal_error(capsys, monkeypatch):
@@ -277,14 +281,19 @@ def test_lim1_example(capsys):
 
 
 def test_ml_needs_no_primes(capsys):
-    # 2147483647 * 2147483629 is past trial division, but it is not +-1,
+    # (2**61 - 1) * (2**89 - 1) is past rho's step budget, but it is not +-1,
     # which is all the Mittag-Leffler answer depends on.
-    payload = json.dumps({"rank": "1", "tail": {"diagonals": [["4611685975477714963"]]}})
+    past_budget = str((2 ** 61 - 1) * (2 ** 89 - 1))
+    payload = json.dumps({"rank": "1", "tail": {"diagonals": [[past_budget]]}})
     code, data = run_json(capsys, "ml", payload)
     assert code == 0 and data == {"mittag_leffler": False}
     # lim1 names the primes, so it still factors, and refuses.
     code, data = run_json(capsys, "lim1", payload)
     assert code == 1 and data["error"]["code"] == "unsupported-input"
+    # Rho splits 2147483647 * 2147483629, which trial division alone could not.
+    code, data = run_json(capsys, "lim1", json.dumps(
+        {"rank": "1", "tail": {"diagonals": [["4611685975477714963"]]}}))
+    assert code == 0 and data["cokernel_prime_support"] == ["2147483629", "2147483647"]
     # The spec is still checked.
     code, data = run_json(capsys, "ml", json.dumps({
         "rank": "1", "prefix": [{"rows": "1", "cols": "1", "entries": [["0"]]}],
