@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import NotPrimeError, UnsupportedInputError
 
@@ -113,21 +113,31 @@ def require_prime(p: int, what: str = "modulus") -> int:
 
 
 _TRIAL_LIMIT = 1 << 12
+# When rho's step budget runs out, trial division goes on to here, so that
+# every integer whose part past 2**20 is 1, a prime or a prime power is
+# factored however many primes it has below 2**20.
+_TRIAL_CEILING = 1 << 20
 # Brent's rho takes at most this many steps divided by the bit length of
 # what trial division leaves (at least 128): 2**21 steps up to 128 bits,
 # fewer beyond, since a step squares an integer of that length.
 _RHO_BUDGET = 1 << 28
+# Testing both parts of a split m for being a prime or a prime power costs
+# up to about this many steps per bit of m (a strong base-2 and a Lucas
+# test, when one part is a prime of nearly m's size), charged to the same
+# budget.
+_TEST_STEPS_PER_BIT = 5
 
 
 def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}, primes ascending.
 
     Trial division below 2**12, then a primality test, a perfect-power test
-    and Brent's rho on what remains.  Rho splits off prime factors up to
-    about 2**38 within its step budget; a remainder it cannot split within
-    the budget is rejected rather than ground at.  Call it only where primes
-    are the answer: normalising cyclic orders needs none (see
-    ``GroupStructure.from_factors``).
+    and Brent's rho on what remains, under one step budget.  Rho splits off
+    prime factors up to about 2**38 within the budget.  If the budget runs
+    out, trial division goes on to 2**20 and what is left must be a prime
+    or a prime power; any other remainder is rejected rather than ground
+    at.  Call it only where primes are the answer: normalising cyclic
+    orders needs none (see ``GroupStructure.from_factors``).
     """
     n = abs(n)
     if n == 0:
@@ -137,37 +147,72 @@ def prime_factors(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n and f < _TRIAL_LIMIT:
+    n, f = _trial_divide(n, 5, _TRIAL_LIMIT, out)
+    if f * f <= n:
+        return _large_prime_factors(n, f, out)
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _trial_divide(n: int, f: int, limit: int, out: dict[int, int]):
+    """Divide the primes from f (5 mod 6) below about limit out of n into
+    out.  Returns what is left and where the search stopped: at limit, or
+    once f * f exceeds what is left, which is then 1 or a prime."""
+    while f * f <= n and f < limit:
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
-    if n > 1:
-        out.update(_large_prime_factors(n) if f * f <= n else {n: 1})
-    return out
+    return n, f
 
 
-def _large_prime_factors(n: int) -> dict[int, int]:
-    """{prime: exponent} of n > 1, which has no prime factor below
-    ``_TRIAL_LIMIT``, primes ascending."""
+class _OutOfSteps(Exception):
+    """Rho's step budget ran out."""
+
+
+def _large_prime_factors(n: int, f: int, out: dict[int, int]) -> dict[int, int]:
+    """``out``, the primes below f of some integer, with those of n added,
+    primes ascending.  n > 1 has no prime factor below f, where trial
+    division stopped at ``_TRIAL_LIMIT``."""
     steps = _RHO_BUDGET // max(n.bit_length(), 128)
-    out: dict[int, int] = {}
     todo = [(n, 1)]
-    while todo:
-        m, e = todo.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + e
-            continue
-        # rho cannot split the power of a large prime, but this finds it.
-        root, exp = _perfect_prime_power(m)
-        if root is not None:
-            out[root] = out.get(root, 0) + e * exp
-            continue
-        d, steps = _brent_rho(m, steps)
-        todo += [(d, e), (m // d, e)]
+    try:
+        while todo:
+            m, e = todo[-1]
+            if _add_prime_power(m, e, out):
+                todo.pop()
+                continue
+            d, steps = _brent_rho(m, steps)
+            steps = _spend(steps, _TEST_STEPS_PER_BIT * m.bit_length())
+            todo[-1:] = [(d, e), (m // d, e)]
+    except _OutOfSteps:
+        # What is unsplit is trial-divided on to 2**20 and must then be 1, a
+        # prime or a prime power.  A lone unsplit entry that loses nothing to
+        # trial division has been tested already.
+        rest = prod(m ** e for m, e in todo)
+        left, _ = _trial_divide(rest, f, _TRIAL_CEILING, out)
+        if left > 1 and (left == rest and len(todo) == 1
+                         or not _add_prime_power(left, 1, out)):
+            raise UnsupportedInputError(
+                f"factorization beyond desk scale: remaining factor {left}"
+            ) from None
     return dict(sorted(out.items()))
+
+
+def _add_prime_power(m: int, e: int, out: dict[int, int]) -> bool:
+    """Whether m > 1, with no prime factor below ``_TRIAL_LIMIT``, is p**k
+    for a prime p; if so, p gains e * k in out."""
+    if is_prime(m):
+        p, k = m, 1
+    else:
+        # rho cannot split the power of a large prime, but this finds it.
+        p, k = _perfect_prime_power(m)
+        if p is None:
+            return False
+    out[p] = out.get(p, 0) + e * k
+    return True
 
 
 def _brent_rho(n: int, steps: int) -> tuple[int, int]:
@@ -180,13 +225,13 @@ def _brent_rho(n: int, steps: int) -> tuple[int, int]:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
-            steps = _spend(steps, r, n)
+            steps = _spend(steps, r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys, batch = y, min(128, r - k)
-                steps = _spend(steps, batch, n)
+                steps = _spend(steps, batch)
                 for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
@@ -202,10 +247,10 @@ def _brent_rho(n: int, steps: int) -> tuple[int, int]:
             return g, steps
 
 
-def _spend(steps: int, cost: int, n: int) -> int:
-    """The steps left after ``cost`` more; a refusal of n if too few are left."""
+def _spend(steps: int, cost: int) -> int:
+    """The steps left after ``cost`` more; ``_OutOfSteps`` if too few are left."""
     if cost > steps:
-        raise UnsupportedInputError(f"factorization beyond desk scale: remaining factor {n}")
+        raise _OutOfSteps
     return steps - cost
 
 

@@ -143,6 +143,40 @@ def test_powers_of_large_primes():
             assert prime_factors(p ** k) == {p: k}
 
 
+def test_many_primes_between_the_trial_limits():
+    # Hundreds of primes in (2**12, 2**20) take rho more steps than its
+    # budget holds; trial division to 2**20 then factors them, with or
+    # without one large prime beside them.
+    rng = random.Random(23)
+    ps = [_random_prime(rng, 2 ** 12, 2 ** 20) for _ in range(300)]
+    above = [p for p in range(2 ** 19 + 1, 2 ** 20, 2) if trial_factor(p) == {p: 1}][:200]
+    big = 2 ** 521 - 1
+    for n in (math.prod(ps), math.prod(ps[:150]) ** 2, math.prod(above)):
+        expected = trial_factor(n)
+        assert list(prime_factors(n).items()) == sorted(expected.items())
+        assert list(prime_factors(n * big).items()) == sorted(expected.items()) + [(big, 1)]
+
+
+def test_rho_budget_charges_the_tests_of_each_split(monkeypatch):
+    # Rho splits primes just above 2**12 off in a few steps each, but each
+    # split's parts are then tested, at up to _TEST_STEPS_PER_BIT steps a
+    # bit, and that is charged to the budget too.  So the bits tested after
+    # n itself stay within the budget's share, plus the one test that
+    # follows trial division to 2**20 when the budget runs out.
+    import limext.numutil as numutil
+
+    tested = []
+    real_is_prime = numutil.is_prime
+    monkeypatch.setattr(numutil, "is_prime", lambda m: tested.append(m) or real_is_prime(m))
+    ps = [p for p in range(2 ** 12 + 1, 2 ** 13, 2) if trial_factor(p) == {p: 1}][:300]
+    n = math.prod(ps)
+    assert prime_factors(n) == dict.fromkeys(ps, 1)
+    tested = [m for m in tested if m.bit_length() > 30]     # not exponents
+    assert tested[0] == n
+    share = numutil._RHO_BUDGET // n.bit_length() // numutil._TEST_STEPS_PER_BIT
+    assert sum(m.bit_length() for m in tested[1:]) <= share + len(tested) + n.bit_length()
+
+
 def test_require_prime():
     assert require_prime(13) == 13
     with pytest.raises(NotPrimeError):
