@@ -203,8 +203,9 @@ class GroupPresentation:
             )
 
     def structure(self) -> GroupStructure:
-        # Rows of the relation matrix become columns of the presenting map.
-        return cokernel_structure(self.relations.transpose())
+        # The presenting map is the transpose of the relation matrix, and a
+        # matrix and its transpose have the same Smith diagonal.
+        return _from_diagonal(smith_diagonal(self.relations), self.generators)
 
 
 def cokernel_structure(m: IntMatrix) -> GroupStructure:
@@ -215,10 +216,14 @@ def cokernel_structure(m: IntMatrix) -> GroupStructure:
     >>> cokernel_structure(IntMatrix.zero(2, 3)).free_rank
     2
     """
-    diag = smith_diagonal(m)
+    return _from_diagonal(smith_diagonal(m), m.rows)
+
+
+def _from_diagonal(diag: list[int], generators: int) -> GroupStructure:
+    # Z^generators modulo a lattice with Smith diagonal ``diag``.
     rank = sum(1 for x in diag if x != 0)
     return GroupStructure(
-        free_rank=m.rows - rank,
+        free_rank=generators - rank,
         invariant_factors=tuple(x for x in diag if x >= 2),
     )
 

@@ -6,6 +6,8 @@ floating point.  Matrices are immutable; row-major entries.
 
 from __future__ import annotations
 
+from math import gcd, prod
+
 from ._record import record
 from .errors import DimensionError
 
@@ -69,7 +71,7 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
             self.cols, self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
+            tuple(x for j in range(self.cols) for x in self.entries[j::self.cols]),
         )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -97,7 +99,7 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise DimensionError("determinant needs a square matrix")
-        rank, pivot = _bareiss(self.to_rows(), self.cols)
+        rank, pivot, _ = _bareiss(self.to_rows(), self.cols)
         return pivot if rank == self.rows else 0
 
     def rank(self) -> int:
@@ -107,7 +109,7 @@ class IntMatrix:
         return {
             "rows": str(self.rows),
             "cols": str(self.cols),
-            "entries": [[str(self.at(i, j)) for j in range(self.cols)] for i in range(self.rows)],
+            "entries": [list(map(str, row)) for row in self.to_rows()],
         }
 
     @classmethod
@@ -120,17 +122,19 @@ class IntMatrix:
         return cls(rows, cols, tuple(x for r in ent for x in r))
 
 
-def _bareiss(a: list[list[int]], cols: int) -> tuple[int, int]:
-    """Fraction-free elimination of the rows ``a`` in place: (rank, signed last pivot).
+def _bareiss(a: list[list[int]], cols: int) -> tuple[int, int, int]:
+    """Fraction-free elimination of the rows ``a`` in place: (rank r, signed
+    last pivot, the pivot before it).
 
     After k pivots each entry below them is a (k+1)-minor of the input (Bareiss,
     Math. Comp. 1968), so every division is exact; a column with no nonzero
     entry at or below the current row is skipped.  The sign follows the row
-    swaps, so for a square matrix of full rank it is the determinant.
+    swaps, so for a square matrix of full rank it is the determinant.  The
+    pivot before the last is a nonzero (r-1)-minor, or 1 when r <= 1.
     """
     n = len(a)
     k = 0
-    sign = prev = 1
+    sign = before = prev = 1
     for j in range(cols):
         if k == n:
             break
@@ -149,20 +153,19 @@ def _bareiss(a: list[list[int]], cols: int) -> tuple[int, int]:
             x = row[j]
             for c in range(j + 1, cols):
                 row[c] = (row[c] * p - x * top[c]) // prev
-        prev = p
+        before, prev = prev, p
         k += 1
-    return k, sign * prev
+    return k, sign * prev, before
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form.
 #
-# One loop serves both entries.  Row operations are repeated on the left
-# accumulator U and column operations on the right accumulator V when they
-# are given, so U @ M @ V == D is an invariant of the loop; without them only
-# D is reduced.  V is held transposed, so that its column operations are row
-# operations too.  At round t the rows and columns before t are finished:
-# their entries in the trailing block are zero, so only d[t:][t:] is touched.
+# Row operations are repeated on the left accumulator U and column operations
+# on the right accumulator V, so U @ M @ V == D is an invariant of the loop.
+# V is held transposed, so that its column operations are row operations too.
+# At round t the rows and columns before t are finished: their entries in the
+# trailing block are zero, so only d[t:][t:] is touched.
 
 
 def _div_nearest(a: int, b: int) -> int:
@@ -174,10 +177,9 @@ def _div_nearest(a: int, b: int) -> int:
     return q
 
 
-def _smith_loop(d: list[list[int]], u: list[list[int]] | None = None,
-                vt: list[list[int]] | None = None) -> None:
+def _smith_loop(d: list[list[int]], u: list[list[int]], vt: list[list[int]]) -> None:
     """Reduce the rows ``d`` in place to Smith normal form; ``u`` and ``vt``
-    (V transposed) accumulate the operations when given.
+    (V transposed) accumulate the operations.
 
     At every round the pivot is re-chosen as the entry of minimal nonzero
     absolute value in the trailing block (the first one in row-major order),
@@ -201,8 +203,7 @@ def _smith_loop(d: list[list[int]], u: list[list[int]] | None = None,
             for i, q in rows:
                 row = d[i]
                 row[t:] = [x - q * y for x, y in zip(row[t:], top[t:])]
-                if u is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
             cols = [(j, _div_nearest(top[j], piv)) for j in range(t + 1, nc) if top[j]]
             if cols:
                 for row in d[t:]:
@@ -210,9 +211,8 @@ def _smith_loop(d: list[list[int]], u: list[list[int]] | None = None,
                     if x:
                         for j, q in cols:
                             row[j] -= q * x
-                if vt is not None:
-                    for j, q in cols:
-                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                for j, q in cols:
+                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
             if any(d[i][t] for i in range(t + 1, nr)) or any(top[t + 1:]):
                 # The cross is not clear: promote the smallest remainder.
                 _move_min_to_pivot(d, t, u, vt)
@@ -226,12 +226,10 @@ def _smith_loop(d: list[list[int]], u: list[list[int]] | None = None,
             if bad is None:
                 break
             top[t:] = [x + y for x, y in zip(top[t:], d[bad][t:])]
-            if u is not None:
-                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
         if top[t] < 0:
             top[t] = -top[t]
-            if vt is not None:
-                vt[t] = [-x for x in vt[t]]
+            vt[t] = [-x for x in vt[t]]
 
 
 def _move_min_to_pivot(d, t, u, vt) -> bool:
@@ -248,13 +246,11 @@ def _move_min_to_pivot(d, t, u, vt) -> bool:
     j = t + list(map(abs, d[i][t:])).index(best)
     if i != t:
         d[t], d[i] = d[i], d[t]
-        if u is not None:
-            u[t], u[i] = u[i], u[t]
+        u[t], u[i] = u[i], u[t]
     if j != t:
         for row in d[t:]:
             row[t], row[j] = row[j], row[t]
-        if vt is not None:
-            vt[t], vt[j] = vt[j], vt[t]
+        vt[t], vt[j] = vt[j], vt[t]
     return True
 
 
@@ -287,17 +283,125 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def smith_diagonal(m: IntMatrix) -> list[int]:
-    """The diagonal of the Smith normal form of m, without U and V.
+    """The diagonal d_1 | d_2 | ... of the Smith normal form of m, without U and V.
 
-    The same loop as :func:`smith_normal_form`, run on D alone, so the
-    result is ``smith_normal_form(m)[1].diagonal_entries()``.
+    d_1...d_k divides every k-minor, and one Bareiss pass gives the rank r
+    and nonzero minors Delta_r and Delta_{r-1}.  For m square of full rank,
+    R = gcd(Delta_r, Delta_{r-1}) is thus a multiple of d_1...d_{r-1}, and
+    d_r = |det m| / (d_1...d_{r-1}); otherwise R = |Delta_r| is a multiple
+    of d_1...d_r, and the rest are 0.  Z^rows modulo the column span plus
+    R Z^rows is the sum of the Z/gcd(d_i, R), so an elimination over Z/RZ
+    finds those d_i (Domich, Kannan and Trotter, Math. Oper. Res. 1987;
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.4.14).
+    The result equals ``smith_normal_form(m)[1].diagonal_entries()``.
 
     >>> smith_diagonal(IntMatrix.from_rows([[2, 4], [6, 8]]))
     [2, 4]
+    >>> smith_diagonal(IntMatrix.from_rows([[6, 0, 0], [0, 10, 0]]))
+    [2, 30]
     """
-    d = m.to_rows()
-    _smith_loop(d)
-    return [d[i][i] for i in range(min(m.rows, m.cols))]
+    rank, last, before = _bareiss(m.to_rows(), m.cols)
+    if rank == m.rows == m.cols > 0:
+        diag = _smith_mod(m.to_rows(), gcd(last, before), rank - 1)
+        return diag + [abs(last) // prod(diag)]
+    diag = _smith_mod(m.to_rows(), abs(last), rank)
+    return diag + [0] * (min(m.rows, m.cols) - rank)
+
+
+def _smith_mod(rows: list[list[int]], modulus: int, rounds: int) -> list[int]:
+    """The first ``rounds`` diagonal entries of a Smith form of ``rows`` over
+    Z/modulus, for a modulus that their product divides; every entry is kept
+    in [0, modulus).
+
+    The pivot is an entry with the least gcd g with the modulus, scaled to g
+    by a unit.  Entries that g divides are cleared by subtraction, others by
+    an extended-gcd 2x2 step that replaces g by a proper divisor.  A trailing
+    entry that g does not divide is folded into the pivot row, so g divides
+    all that is left; a pivot whose gcd is that of the whole block does so
+    from the start.  The trailing block is then divided by g, and the
+    modulus by g to the number of entries still to find, g's included: the
+    product of those left still divides it.
+    """
+    if modulus == 1:
+        return [1] * rounds
+    a = [[x % modulus for x in row] for row in rows]
+    out, scale = [], 1
+    for t in range(rounds):
+        g, least = modulus, 1
+        for k in range(t, len(a)):
+            gs = [gcd(x, modulus) for x in a[k][t:]]
+            h = min(gs)
+            if h < g:
+                g, i, j = h, k, t + gs.index(h)
+            if k == t and g > 1:
+                # No entry's gcd with the modulus is below the block's.
+                least = gcd(modulus, *(gcd(*row[t:]) for row in a[t:]))
+            if g == least:
+                break
+        if g == modulus:
+            return out + [scale * modulus] * (rounds - t)
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        top = a[t]
+        unit = _unit_to_divisor(top[t], g, modulus)
+        top[t:] = [unit * x % modulus for x in top[t:]]
+        while True:
+            for row in a[t + 1:]:
+                y = row[t]
+                if y % g:
+                    h, s, w = _xgcd(g, y)
+                    top[t:], row[t:] = (
+                        [(s * x + w * z) % modulus for x, z in zip(top[t:], row[t:])],
+                        [(y // h * x - g // h * z) % modulus for x, z in zip(top[t:], row[t:])])
+                    g = h
+                elif y:
+                    q = y // g
+                    for c in range(t, len(row)):
+                        row[c] = (row[c] - q * top[c]) % modulus
+            # With the pivot column clear, clearing the pivot row by column
+            # operations changes nothing else, so it is left undone.
+            j = next((j for j in range(t + 1, len(top)) if top[j] % g), None)
+            if j is not None:
+                h, _, w = _xgcd(g, top[j])
+                for row in a[t + 1:]:
+                    row[t], row[j] = w * row[j] % modulus, -(g // h) * row[j] % modulus
+                top[t], top[j], g = h, 0, h
+                continue
+            if g == least:
+                break
+            bad = next((row for row in a[t + 1:] if any(x % g for x in row[t + 1:])), None)
+            if bad is None:
+                break
+            top[t + 1:] = bad[t + 1:]
+        out.append(scale * g)
+        if g > 1:
+            scale *= g
+            modulus //= g ** (rounds - t)
+            if modulus == 1:
+                return out + [scale] * (rounds - t - 1)
+            for row in a[t + 1:]:
+                row[t + 1:] = [x // g % modulus for x in row[t + 1:]]
+    return out
+
+
+def _xgcd(g: int, y: int) -> tuple[int, int, int]:
+    # (h, s, w) with h = gcd(g, y) = s*g + w*y, for g that does not divide y;
+    # [[s, w], [y/h, -g/h]] has determinant -1.
+    h = gcd(g, y)
+    w = pow(y // h, -1, g // h)
+    return h, (h - w * y) // g, w
+
+
+def _unit_to_divisor(x: int, g: int, modulus: int) -> int:
+    # A unit u with u*x = g modulo ``modulus``, for g = gcd(x, modulus): the
+    # inverse of x/g modulo m = modulus/g, made 1 modulo the part prime to m.
+    m = modulus // g
+    s = pow(x // g, -1, m)
+    c = modulus
+    while (h := gcd(c, m)) > 1:
+        c //= h
+    return s + m * ((1 - s) * pow(m, -1, c) % c)
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -255,10 +255,20 @@ def _spend(steps: int, cost: int) -> int:
 
 
 def _iroot(n: int, k: int) -> int:
-    # Floor k-th root by integer Newton iteration.
+    # Floor k-th root, in [2**high, 2**(high + 1)).  A short root is bisected;
+    # Newton's iteration starts from the root of n's leading bits, shifted:
+    # above the root and within 1/(8k) of it, so each step doubles its bits.
     if n < 2:
         return n
-    x = 1 << -(-n.bit_length() // k)
+    high = (n.bit_length() - 1) // k
+    if high <= 2 * k.bit_length() + 8:
+        lo, hi = 1 << high, 2 << high
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if mid ** k > n else (mid, hi)
+        return lo
+    shift = high // 2
+    x = _iroot(n >> k * shift, k) + 1 << shift
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

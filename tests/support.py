@@ -282,6 +282,18 @@ def trial_factor(n: int) -> dict[int, int]:
     return out
 
 
+def iroot_bisect(n: int, k: int) -> int:
+    """Floor k-th root of n >= 0 by bisection on [0, 2^(bits/k + 1))."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def primewise_invariant_factors(orders) -> tuple[int, ...]:
     """Invariant factors of the sum of Z/n over the nonzero orders: factor
     each by trial division, then put the i-th largest exponent of every

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from limext import (
     is_unimodular,
     smith_normal_form,
 )
-from limext.matrices import smith_diagonal
+from limext.matrices import _bareiss, _xgcd, smith_diagonal
 from support import random_matrix, random_unimodular, random_unimodular_with_inverse
 
 entries_st = st.integers(min_value=-50, max_value=50)
@@ -274,7 +275,98 @@ def test_smith_diagonal_matches_sympy():
 
     rng = random.Random(1987)
     for k in range(200):
-        n = rng.randint(1, 6)
-        m = _low_rank_matrix(rng, n, n) if k % 2 else random_matrix(rng, n, n, bound=9)
+        n = rng.randint(1, 10)
+        if k % 3 == 0:
+            m = _known_chain_matrix(rng, n, n, _random_chain(rng, n, k // 3 % 4))
+        else:
+            m = _low_rank_matrix(rng, n, n) if k % 3 == 1 else random_matrix(rng, n, n, bound=9)
         ref = normalforms.smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
         assert smith_diagonal(m) == [abs(int(ref[i, i])) for i in range(n)]
+
+
+def _random_chain(rng, size, kind):
+    # kind 0: small primes, repeated, and a tail of zeros; 1: every factor
+    # even; 2: factors past 10^6; 3: ones, then a pair sharing 6, so that
+    # the determinant and the (n-1)-minors share a factor.
+    if kind == 3:
+        return ([1] * size + [6, 6 * rng.choice((1, 5, 6, 7, 12, 36))])[-size:]
+    steps = ((1, 1, 2, 2, 3, 3, 5, 6, 12), (1, 1, 2, 4), (1, 1, 999_983, 1_000_003))[kind]
+    chain, d = [], 2 if kind == 1 else 1
+    for _ in range(size):
+        d *= rng.choice(steps)
+        chain.append(d)
+    if kind == 0 and rng.random() < 0.3:
+        chain[rng.randrange(size):] = [0] * size
+    return chain[:size]
+
+
+def _known_chain_matrix(rng, rows, cols, chain):
+    # W1 @ diag(chain) @ W2 with unimodular W1, W2 has Smith diagonal chain.
+    return (random_unimodular(rng, rows, 3 * rows)
+            @ IntMatrix.diagonal(chain, rows, cols)
+            @ random_unimodular(rng, cols, 3 * cols))
+
+
+def test_smith_diagonal_on_known_chains():
+    rng = random.Random(2024)
+    large = 0
+    for k in range(320):
+        rows = rng.randint(1, 12)
+        cols = rows if k % 2 else rng.randint(1, 12)
+        chain = _random_chain(rng, min(rows, cols), k % 4)
+        m = _known_chain_matrix(rng, rows, cols, chain)
+        large += max(map(abs, m.entries)) > 10 ** 6
+        assert smith_diagonal(m) == chain
+        assert smith_diagonal(m) == smith_normal_form(m)[1].diagonal_entries()
+    assert large > 20
+
+
+def test_smith_diagonal_takes_every_branch_modulo_the_determinant(monkeypatch):
+    # The modulus and rounds as smith_diagonal takes them, and the chain
+    # from the full form: R = 1, every pivot a unit, some pivot not a unit,
+    # and an extended-gcd step must each be taken at least 20 times.
+    steps = []
+    monkeypatch.setattr("limext.matrices._xgcd", lambda g, y: steps.append(1) or _xgcd(g, y))
+    rng = random.Random(24)
+    hits = {"R = 1": 0, "units only": 0, "non-unit pivot": 0, "extended gcd": 0}
+    for k in range(400):
+        rows = rng.randint(1, 8)
+        cols = rows if k % 3 else rng.randint(1, 8)
+        if k % 2:
+            m = random_matrix(rng, rows, cols, bound=9)
+        else:
+            chain = _random_chain(rng, min(rows, cols), k // 2 % 4)
+            m = _known_chain_matrix(rng, rows, cols, chain)
+        rank, last, before = _bareiss(m.to_rows(), m.cols)
+        square = rank == rows == cols
+        modulus = gcd(last, before) if square else abs(last)
+        diag = smith_normal_form(m)[1].diagonal_entries()
+        del steps[:]
+        assert smith_diagonal(m) == diag
+        hits["extended gcd"] += bool(steps)
+        if modulus == 1:
+            hits["R = 1"] += 1
+        elif rank - square > 0:
+            hits["non-unit pivot" if diag[rank - square - 1] > 1 else "units only"] += 1
+    assert min(hits.values()) >= 20, hits
+
+
+def test_bareiss_returns_two_minors():
+    # For r = rank, the last pivot is +-an r-minor and the one before it a
+    # nonzero +-(r-1)-minor (1 when r <= 1), against the Leibniz formula.
+    rng = random.Random(1968)
+    for k in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = _low_rank_matrix(rng, rows, cols) if k % 2 else random_matrix(rng, rows, cols, bound=9)
+        rank, last, before = _bareiss(m.to_rows(), m.cols)
+        assert rank == m.rank()
+
+        def minors(size):
+            return {abs(_leibniz_determinant(IntMatrix.from_rows(
+                [[m.at(i, j) for j in cs] for i in rs]))) if size else 1
+                for rs in combinations(range(rows), size)
+                for cs in combinations(range(cols), size)}
+
+        assert before != 0 and abs(before) in minors(max(rank - 1, 0))
+        if rank:
+            assert abs(last) in minors(rank)

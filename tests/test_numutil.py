@@ -2,11 +2,11 @@ import math
 import random
 
 import pytest
-from support import trial_factor
+from support import iroot_bisect, trial_factor
 
 from limext.errors import NotPrimeError, UnsupportedInputError
-from limext.numutil import (_strong_lucas_probable_prime, _strong_probable_prime, is_prime,
-                            prime_factors, prime_to_p_part, require_prime, vp)
+from limext.numutil import (_iroot, _strong_lucas_probable_prime, _strong_probable_prime,
+                            is_prime, prime_factors, prime_to_p_part, require_prime, vp)
 
 
 def test_is_prime_small_range():
@@ -175,6 +175,23 @@ def test_rho_budget_charges_the_tests_of_each_split(monkeypatch):
     assert tested[0] == n
     share = numutil._RHO_BUDGET // n.bit_length() // numutil._TEST_STEPS_PER_BIT
     assert sum(m.bit_length() for m in tested[1:]) <= share + len(tested) + n.bit_length()
+
+
+def test_iroot_against_bisection():
+    # Exact powers, powers +-1 and random integers of up to 20,000 bits, with
+    # roots long enough for Newton's iteration and short enough to bisect.
+    # The bisection oracle takes one step per bit of the root, so roots of
+    # more than 2,000 bits are checked on exact powers alone.
+    rng = random.Random(1000)
+    for k in [2, 3, 5, 7, 64, 97, 500, 900, 1000] + [rng.randint(2, 1000) for _ in range(12)]:
+        for bits in (1, k, 3 * k, 20 * k, 97 * k, 20_000):
+            if bits > 20_000:
+                continue
+            root = rng.getrandbits(max(1, bits // k)) | 1
+            assert [_iroot(root ** k + e, k) for e in (-1, 0, 1)] == [root - 1, root, root]
+            n = rng.getrandbits(bits)
+            if bits // k <= 2_000:
+                assert _iroot(n, k) == iroot_bisect(n, k), (bits, k)
 
 
 def test_require_prime():
