@@ -383,18 +383,41 @@ def _format(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output and output != "-":
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _error(code: str, message: str) -> str:
+    """A front-end error document: ``{"error": {"code", "message"}}``."""
+    return _format({"error": {"code": code, "message": message}})
 
 
-def _fail(code: str, message: str, output: str | None, status: int) -> int:
-    """Write a front-end error as ``{"error": {"code", "message"}}``; return ``status``."""
-    _emit(_format({"error": {"code": code, "message": message}}), output)
-    return status
+def run(cmd: str, raw: str) -> tuple[int, str]:
+    """One request: subcommand ``cmd`` (one of ``SUBCOMMANDS``) on the JSON
+    text ``raw``.  Parses, validates, dispatches and formats, and returns the
+    exit status with the text to write: the result, or the error document of
+    any failure.  It writes nothing, and raises nothing."""
+    try:
+        payload = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        return 2, _error("malformed-json", str(exc))
+    except RecursionError:  # arrays or objects nested past the parser's depth limit
+        return 2, _error("malformed-json", "$: nesting too deep to parse")
+    except ValueError:  # an integer literal past the int-to-str digit limit
+        return 2, _error("schema-violation",
+                         f"$: integer literal longer than {_digit_limit()} digits")
+    document = _schema_document()
+    try:
+        _validate(payload, document[cmd], "$", document["$defs"])
+    except SchemaViolation as exc:
+        return 2, _error("schema-violation", str(exc))
+    try:
+        return 0, _format(_HANDLERS[cmd](payload))
+    except errors.DomainError as exc:
+        return 1, _format({"error": exc.to_json()})
+    except Exception as exc:
+        # The int-to-str digit limit raises a plain ValueError; only its
+        # message tells it apart from a fault in the library.
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            return 1, _error("output-too-large", f"result has an integer of more than "
+                             f"{_digit_limit()} digits, past the int-to-str limit")
+        return 1, _error("internal-error", f"{type(exc).__name__}: {exc}")
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -441,66 +464,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse argv, then print a schema or read the payload and ``run`` it,
+    and write the text once, to stdout or ``--output``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.schema is not None and args.subcommand is None:
-        try:
-            _emit(_format(load_schema(args.schema)), None)
-        except SchemaViolation as exc:
-            return _fail("schema-violation", str(exc), None, 2)
-        return 0
-    if args.subcommand is None:
+    if args.subcommand is None and args.schema is None:
         parser.print_usage(sys.stderr)
         return 2
-    if getattr(args, "print_schema", False):
-        _emit(_format(load_schema(args.subcommand)), args.output)
-        return 0
-
-    if args.input:
+    if args.subcommand is None or args.print_schema:
+        try:
+            status, text = 0, _format(load_schema(args.subcommand or args.schema))
+        except SchemaViolation as exc:
+            status, text = 2, _error("schema-violation", str(exc))
+    elif args.input:
         try:
             with open(args.input) as fh:
                 raw = fh.read()
         except OSError as exc:
-            return _fail("input-unreadable", str(exc), args.output, 2)
-    elif args.payload not in (None, "-"):
-        raw = args.payload
+            status, text = 2, _error("input-unreadable", str(exc))
+        else:
+            status, text = run(args.subcommand, raw)
     else:
-        raw = sys.stdin.read()
-
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        return _fail("malformed-json", str(exc), args.output, 2)
-    except RecursionError:  # arrays or objects nested past the parser's depth limit
-        return _fail("malformed-json", "$: nesting too deep to parse", args.output, 2)
-    except ValueError:  # an integer literal past the int-to-str digit limit
-        return _fail("schema-violation",
-                     f"$: integer literal longer than {_digit_limit()} digits", args.output, 2)
-
-    document = _schema_document()
-    try:
-        _validate(payload, document[args.subcommand], "$", document["$defs"])
-    except SchemaViolation as exc:
-        return _fail("schema-violation", str(exc), args.output, 2)
-
-    try:
-        text = _format(_HANDLERS[args.subcommand](payload))
-    except errors.DomainError as exc:
-        _emit(_format({"error": exc.to_json()}), args.output)
-        return 1
-    except Exception as exc:
-        # The int-to-str digit limit raises a plain ValueError; only its
-        # message tells it apart from a fault in the library.
-        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
-            return _fail("output-too-large",
-                         f"result has an integer of more than {_digit_limit()} "
-                         "digits, past the int-to-str limit", args.output, 1)
-        return _fail("internal-error", f"{type(exc).__name__}: {exc}", args.output, 1)
-
-    _emit(text, args.output)
-    return 0
+        status, text = run(args.subcommand,
+                           sys.stdin.read() if args.payload in (None, "-") else args.payload)
+    output = getattr(args, "output", None)
+    if output and output != "-":
+        with open(output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return status
 
 
 if __name__ == "__main__":

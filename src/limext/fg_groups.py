@@ -12,7 +12,7 @@ from collections import Counter
 from math import gcd, prod
 
 from ._record import record
-from .errors import DimensionError, DomainError
+from .errors import BudgetExceededError, DimensionError, DomainError
 from .matrices import IntMatrix, smith_diagonal
 from .numutil import is_prime, prime_to_p_part, vp
 
@@ -242,12 +242,26 @@ def direct_sum(*groups: GroupStructure) -> GroupStructure:
     return GroupStructure.from_factors(factors, free_rank=rank)
 
 
+# The most invariant factors that finite_coefficients and
+# functors.finite_coefficients_descriptor list.
+LISTING_MAX_FACTORS = 2 ** 20
+
+
+def check_listing(factors: int) -> None:
+    """Refuse to list more than ``LISTING_MAX_FACTORS`` factors."""
+    if factors > LISTING_MAX_FACTORS:
+        raise BudgetExceededError(
+            f"{factors} factors to list exceed the budget of {LISTING_MAX_FACTORS}")
+
+
 def finite_coefficients(a: GroupStructure, m: int) -> tuple[GroupStructure, GroupStructure]:
     """The pair (A/mA, m-torsion of A) for a finitely generated A.
 
     Both are finite, and |A/mA| = |mA-torsion| * m^free_rank: each Z summand
     contributes Z/m to the quotient and nothing to the torsion, while a Z/d
-    summand contributes Z/gcd(d, m) to both.
+    summand contributes Z/gcd(d, m) to both.  The quotient lists one factor
+    per summand (none for m = 1), and a call that would list more than 2^20
+    is refused with :class:`BudgetExceededError` before any work.
 
     >>> q, t = finite_coefficients(GroupStructure.from_factors([4]), 2)
     >>> print(q, "|", t)
@@ -255,6 +269,8 @@ def finite_coefficients(a: GroupStructure, m: int) -> tuple[GroupStructure, Grou
     """
     if m < 1:
         raise DomainError("modulus must be >= 1 (m = 0 rejected)")
-    quotient = [m] * a.free_rank + [gcd(d, m) for d in a.invariant_factors]
+    copies = a.free_rank if m > 1 else 0
+    check_listing(copies + len(a.invariant_factors))
+    quotient = [m] * copies + [gcd(d, m) for d in a.invariant_factors]
     torsion = [gcd(d, m) for d in a.invariant_factors]
     return GroupStructure.from_factors(quotient), GroupStructure.from_factors(torsion)

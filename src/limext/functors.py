@@ -25,7 +25,7 @@ from .descriptors import (
     ZERO_DESCRIPTOR,
 )
 from .errors import BudgetExceededError, ContinuumError, DomainError, ModuleHypothesisError
-from .fg_groups import GroupStructure, direct_sum, finite_coefficients
+from .fg_groups import GroupStructure, check_listing, direct_sum, finite_coefficients
 from .numutil import prime_factors, prime_to_p_part, require_prime
 
 
@@ -85,7 +85,8 @@ def finite_coefficients_descriptor(
     (Z, Z_(p), Z[S^-1] with p outside S, and abstract Z_p) count as Z and,
     with the cyclic blocks, go through :func:`finite_coefficients`;
     divisible blocks contribute nothing to the quotient; the Pruefer group at
-    p contributes Z/p^j torsion.
+    p contributes Z/p^j torsion.  A call that would list more than 2^20
+    factors is refused with :class:`BudgetExceededError` before any work.
 
     Rejects continuum multiplicity exactly where it would make the result
     not finitely describable: continuum-many Pruefer copies at p.  A Q block
@@ -106,6 +107,7 @@ def finite_coefficients_descriptor(
         )
     separated = g.free_rank + g.local_count(p) + g.padic_count(p)
     separated += sum(c for s, c in g.inverted if p not in s)
+    check_listing(separated + len(g.cyclic) + pruefer_p.value)
     pj = p ** j
     quotient, torsion = finite_coefficients(GroupStructure(separated, g.cyclic), pj)
     if pruefer_p.is_zero:
@@ -190,7 +192,7 @@ class SixTermSequence:
         return {
             "p": str(self.prime),
             "terms": {n: t.to_json() for n, t in zip(names, self.terms())},
-            # Constants, pinned by the output digests; ROADMAP item 8 deletes
+            # Constants, pinned by the output digests; ROADMAP item 9 deletes
             # them when the digests are next re-recorded.
             "consistent": True,
             "consistency_issues": [],

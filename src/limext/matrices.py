@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import gcd, prod
 
 from ._record import record
-from .errors import DimensionError
+from .errors import BudgetExceededError, DimensionError
 
 
 @record
@@ -254,6 +254,10 @@ def _move_min_to_pivot(d, t, u, vt) -> bool:
     return True
 
 
+# The most entries that smith_normal_form lists in U, D and V together.
+SNF_MAX_ENTRIES = 2 ** 20
+
+
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms: returns (U, D, V) with U @ m @ V == D.
 
@@ -261,7 +265,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     the divisibility chain d1 | d2 | ... .  The pivot is re-chosen each round
     as the smallest nonzero entry of the trailing block, and a negative
     pivot's sign is absorbed into V, so D's diagonal is the canonical one.
-    Callers that need only the diagonal use :func:`smith_diagonal`.
+    Callers that need only the diagonal use :func:`smith_diagonal`.  U, D and
+    V hold rows^2 + rows*cols + cols^2 entries whatever m's entries are, and
+    a call is refused with :class:`BudgetExceededError` when that exceeds
+    2^20, before any work.
 
     >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
     >>> u, d, v = smith_normal_form(m)
@@ -271,6 +278,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     True
     """
     nr, nc = m.rows, m.cols
+    if nr * nr + nr * nc + nc * nc > SNF_MAX_ENTRIES:
+        raise BudgetExceededError(f"U, D and V of a {nr}x{nc} matrix hold more than "
+                                  f"{SNF_MAX_ENTRIES} entries")
     d = m.to_rows()
     u = IntMatrix.identity(nr).to_rows()
     vt = IntMatrix.identity(nc).to_rows()

@@ -153,17 +153,25 @@ def unit_power_check(ring: TruncatedPolyRing, s: int) -> bool:
     dies for j >= p^s because p^j vanishes mod p^n, and for 0 < j < p^s
     because of the binomial valuation bound.  The check expands the power by
     exact ring arithmetic, providing a computational witness independent of
-    the valuation argument.
+    the valuation argument: it takes p-th powers n + s times, and stops once
+    the result is one, which stays one.  Every coefficient of y^j, j > 0, in
+    (1 + p*y)^(p^k) has valuation at least k + 1 (Kummer), so that happens
+    after at most n - 1 powers, and neither p^s nor p^(n+s) is formed.
 
     >>> unit_power_check(TruncatedPolyRing(2, 2, 8), 1)
     True
     """
     if s < 0:
         raise DomainError("s must be nonnegative")
-    if ring.p ** s < ring.n:
+    ps, k = 1, 0
+    while ps < ring.n and k < s:
+        ps, k = ps * ring.p, k + 1
+    if ps < ring.n:
         raise DomainError(
             f"need p^s >= n, got {ring.p}^{s} < {ring.n}",
             citation="exponent threshold for principal-unit torsion",
         )
-    exponent = ring.p ** (ring.n + s)
-    return ring.power(ring.principal_unit(), exponent) == ring.one()
+    x, one, k = ring.principal_unit(), ring.one(), 0
+    while x != one and k < ring.n + s:
+        x, k = ring.power(x, ring.p), k + 1
+    return x == one

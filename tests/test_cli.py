@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from limext.cli import _HANDLERS, SUBCOMMANDS, _build_parser, _schema_document, load_schema, main
+from limext.cli import run as run_request
 
 
 def run(capsys, *argv):
@@ -398,6 +399,24 @@ def test_extension_classes_budget(capsys, factors):
     assert code == 1 and data["error"]["code"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("cmd, payload", [
+    ("snf", {"rows": "0", "cols": "20000", "entries": []}),
+    ("snf", {"rows": "1", "cols": "1024", "entries": [["0"] * 1024]}),
+    ("group", {"op": "finite-coefficients", "modulus": "2",
+               "group": {"free_rank": str(2 ** 61 - 1), "invariant_factors": []}}),
+    ("group", {"op": "finite-coefficients", "modulus": "2",
+               "group": {"free_rank": str(2 ** 20 + 1), "invariant_factors": []}}),
+    ("descriptor", {"op": "finite-coefficients", "p": "2", "group": {"free_rank": str(2 ** 61 - 1)}}),
+    ("descriptor", {"op": "finite-coefficients", "p": "2",
+                    "group": {"pruefer": {"default": 0, "exceptions": {"2": 2 ** 20 + 1}}}}),
+])
+def test_listings_past_the_budget_are_refused_at_once(capsys, cmd, payload):
+    start = time.monotonic()
+    code, data = run_json(capsys, cmd, json.dumps(payload))
+    assert time.monotonic() - start < 1
+    assert code == 1 and data["error"]["code"] == "budget-exceeded"
+
+
 def test_group_presentation_op(capsys):
     code, data = run_json(capsys, "group", json.dumps({
         "op": "presentation",
@@ -765,6 +784,26 @@ def _contains(node, leaf):
     if isinstance(node, list):
         return any(_contains(v, leaf) for v in node)
     return type(node) is type(leaf) and node == leaf
+
+
+def test_run_returns_what_main_writes(capsys):
+    # run is main without argv and files: the same status and text for
+    # every literal payload of this file and each of its mutations, plus
+    # text that is not a payload, and it never raises.  Mutations with a
+    # digit string at the limit are left out: in lim1, ext-rank1 and
+    # extension-classes they factor a 4,300-digit integer (11.5 s in lim1),
+    # and descriptor finite-coefficients with such a j forms p ** j; no
+    # budget bounds either yet (ROADMAP item 6).
+    requests = [(cmd, json.dumps(instance)) for cmd, payload in _literal_payloads()
+                for instance in [payload, *_mutations(payload)]
+                if not _contains(instance, "9" * 4300)]
+    requests += [("snf", "[" * 5000), ("group", '{"op":'), UNREADABLE[-1]]
+    statuses = Counter()
+    for cmd, raw in requests:
+        status, text = run_request(cmd, raw)
+        assert run(capsys, cmd, raw) == (status, text), (cmd, raw)
+        statuses[status] += 1
+    assert statuses[0] > 150 and statuses[1] > 100 and statuses[2] > 2500
 
 
 def test_validate_agrees_with_jsonschema():

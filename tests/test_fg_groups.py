@@ -14,6 +14,7 @@ from limext import (
     direct_sum,
     finite_coefficients,
 )
+from limext.errors import BudgetExceededError
 from support import primewise_invariant_factors
 
 factor_lists = st.lists(st.integers(min_value=0, max_value=64), max_size=5)
@@ -116,6 +117,18 @@ def test_finite_coefficients_examples():
 def test_finite_coefficients_rejects_zero():
     with pytest.raises(DomainError):
         finite_coefficients(GroupStructure(free_rank=1), 0)
+
+
+def test_finite_coefficients_refuses_listings_past_the_budget():
+    # One quotient factor per free-rank copy: 2^20 are listed, one more is not.
+    q, t = finite_coefficients(GroupStructure(free_rank=2 ** 20), 2)
+    assert q.invariant_factors == (2,) * 2 ** 20 and t.is_trivial()
+    for rank, factors in ((2 ** 20 + 1, []), (2 ** 20, [3]), (2 ** 61 - 1, [])):
+        with pytest.raises(BudgetExceededError):
+            finite_coefficients(GroupStructure.from_factors(factors, free_rank=rank), 2)
+    # Modulus 1 lists nothing.
+    q, t = finite_coefficients(GroupStructure.from_factors([4], free_rank=2 ** 61 - 1), 1)
+    assert q.is_trivial() and t.is_trivial()
 
 
 @settings(max_examples=200, deadline=None)

@@ -167,6 +167,24 @@ def test_finite_coefficients_continuum_rule():
     assert q.is_trivial() and t.is_trivial()
 
 
+def test_finite_coefficients_descriptor_refuses_listings_past_the_budget():
+    # Z/p^j per free copy in the quotient, and per Pruefer copy at p in the
+    # torsion: 2^20 factors in all are listed, one more is not.
+    def descriptor(free, pruefer):
+        return GroupDescriptor.build(free_rank=free,
+                                     pruefer=PrimeMultiplicity.build(0, {2: pruefer}))
+
+    q, t = finite_coefficients_descriptor(descriptor(1, 2 ** 20 - 1), 2, 3)
+    assert q == GroupStructure.from_factors([8])
+    assert t.invariant_factors == (8,) * (2 ** 20 - 1)
+    for free, pruefer in ((1, 2 ** 20), (2 ** 20 + 1, 0), (0, 2 ** 61 - 1), (2 ** 61 - 1, 0)):
+        with pytest.raises(BudgetExceededError):
+            finite_coefficients_descriptor(descriptor(free, pruefer), 2)
+    # Pruefer copies away from p list nothing.
+    q, t = finite_coefficients_descriptor(descriptor(0, 2 ** 61 - 1), 3)
+    assert q.is_trivial() and t.is_trivial()
+
+
 def test_lim1_landmark_values():
     # The localization at p has derived limit a continuum Q-space.
     assert lim1_mult_p(GroupDescriptor.localized(7), 7) \

@@ -14,6 +14,7 @@ from limext import (
     is_unimodular,
     smith_normal_form,
 )
+from limext.errors import BudgetExceededError
 from limext.matrices import _bareiss, _xgcd, smith_diagonal
 from support import random_matrix, random_unimodular, random_unimodular_with_inverse
 
@@ -370,3 +371,12 @@ def test_bareiss_returns_two_minors():
         assert before != 0 and abs(before) in minors(max(rank - 1, 0))
         if rank:
             assert abs(last) in minors(rank)
+
+
+def test_smith_normal_form_refuses_transforms_past_the_budget():
+    # U, D and V hold rows^2 + rows*cols + cols^2 entries: 2^20 for 0 x 1024.
+    u, d, v = smith_normal_form(IntMatrix.zero(0, 1024))
+    assert (u.rows, d.cols, v.rows) == (0, 1024, 1024) and v == IntMatrix.identity(1024)
+    for rows, cols in ((0, 1025), (1, 1024), (592, 592), (1, 20000)):
+        with pytest.raises(BudgetExceededError):
+            smith_normal_form(IntMatrix.zero(rows, cols))

@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +109,48 @@ def test_unit_power_examples():
 def test_unit_power_threshold_enforced():
     with pytest.raises(DomainError):
         unit_power_check(TruncatedPolyRing(2, 3, 6), 1)   # 2^1 < 3
+
+
+def unit_power_by_full_exponent(ring: TruncatedPolyRing, s: int) -> bool:
+    # The check as first written: p^s and p^(n+s) in full, then one power.
+    if s < 0:
+        raise DomainError("s must be nonnegative")
+    if ring.p ** s < ring.n:
+        raise DomainError(f"need p^s >= n, got {ring.p}^{s} < {ring.n}")
+    return ring.power(ring.principal_unit(), ring.p ** (ring.n + s)) == ring.one()
+
+
+def outcome(check, ring, s):
+    try:
+        return check(ring, s)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_unit_power_matches_the_full_exponent():
+    for p, n, degree, s in itertools.product((2, 3, 5, 7), range(1, 7), range(1, 7), range(-1, 4)):
+        ring = TruncatedPolyRing(p, n, degree)
+        assert outcome(unit_power_check, ring, s) == outcome(unit_power_by_full_exponent, ring, s)
+
+
+UNIT_POWER_PROBE = """
+import sys, time
+from limext import TruncatedPolyRing, unit_power_check
+start = time.monotonic()
+result = unit_power_check(TruncatedPolyRing(3, 2, 4), int(sys.argv[1]))
+print(result, time.monotonic() - start)
+"""
+
+
+@pytest.mark.parametrize("s", (10 ** 8, 2 ** 31 - 1))
+def test_unit_power_does_not_grow_with_s(s):
+    # In a child process, so that a check that forms p^(n+s) is stopped.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", UNIT_POWER_PROBE, str(s)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=10, check=True)
+    result, seconds = proc.stdout.split()
+    assert result == "True" and float(seconds) < 1
 
 
 def test_unit_power_monotone_in_exponent():
