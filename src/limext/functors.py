@@ -26,7 +26,7 @@ from .descriptors import (
 )
 from .errors import BudgetExceededError, ContinuumError, DomainError, ModuleHypothesisError
 from .fg_groups import GroupStructure, check_listing, direct_sum, finite_coefficients
-from .numutil import prime_factors, prime_to_p_part, require_prime
+from .numutil import prime_factors, prime_to_p_part, require_prime, vp
 
 
 def tate_module(g: GroupDescriptor, p: int) -> GroupDescriptor:
@@ -76,6 +76,11 @@ def max_p_divisible(g: GroupDescriptor, p: int) -> GroupDescriptor:
     )
 
 
+# The most bits, about j * bit_length(p), of a p^j that
+# finite_coefficients_descriptor lists; 2^16 bits is about 19,700 digits.
+PJ_MAX_BITS = 2 ** 16
+
+
 def finite_coefficients_descriptor(
     g: GroupDescriptor, p: int, j: int = 1
 ) -> tuple[GroupStructure, GroupStructure]:
@@ -86,7 +91,8 @@ def finite_coefficients_descriptor(
     with the cyclic blocks, go through :func:`finite_coefficients`;
     divisible blocks contribute nothing to the quotient; the Pruefer group at
     p contributes Z/p^j torsion.  A call that would list more than 2^20
-    factors is refused with :class:`BudgetExceededError` before any work.
+    factors, or list a p^j of over 2^16 bits, is refused with
+    :class:`BudgetExceededError` before any work.
 
     Rejects continuum multiplicity exactly where it would make the result
     not finitely describable: continuum-many Pruefer copies at p.  A Q block
@@ -108,7 +114,13 @@ def finite_coefficients_descriptor(
     separated = g.free_rank + g.local_count(p) + g.padic_count(p)
     separated += sum(c for s, c in g.inverted if p not in s)
     check_listing(separated + len(g.cyclic) + pruefer_p.value)
-    pj = p ** j
+    if separated or pruefer_p.value:
+        if j * p.bit_length() > PJ_MAX_BITS:
+            raise BudgetExceededError(f"p^j to list would have over {PJ_MAX_BITS} bits")
+        pj = p ** j
+    else:
+        # Only the gcds of the cyclic orders with p^j are listed.
+        pj = p ** min(j, max((vp(m, p) for m in g.cyclic), default=0))
     quotient, torsion = finite_coefficients(GroupStructure(separated, g.cyclic), pj)
     if pruefer_p.is_zero:
         return quotient, torsion

@@ -7,6 +7,7 @@ floating point.  Matrices are immutable; row-major entries.
 from __future__ import annotations
 
 from math import gcd, prod
+from operator import mul
 
 from ._record import record
 from .errors import BudgetExceededError, DimensionError
@@ -161,61 +162,52 @@ def _bareiss(a: list[list[int]], cols: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # Smith normal form.
 #
-# Row operations are repeated on the left accumulator U and column operations
-# on the right accumulator V, so U @ M @ V == D is an invariant of the loop.
-# V is held transposed, so that its column operations are row operations too.
-# At round t the rows and columns before t are finished: their entries in the
-# trailing block are zero, so only d[t:][t:] is touched.
+# The loop reduces D alone and records its row operations (for U) and its
+# column operations (for V, held transposed so that they are row operations
+# too).  At round t the rows and columns before t are finished, so only
+# d[t:][t:] is touched and every operation acts on indices >= t only.
 
 
-def _div_nearest(a: int, b: int) -> int:
-    # Quotient rounded to nearest, so |a - q*b| <= |b| / 2.  Keeping the
-    # remainders at most half the pivot tames coefficient growth.
-    q, r = divmod(a, b)
-    if 2 * abs(r) > abs(b):
-        q += 1
-    return q
+def _smith_loop(d: list[list[int]]) -> tuple[list, list]:
+    """Reduce the rows ``d`` in place to Smith normal form; return the
+    records of the row and of the column operations: ("swap", t, i),
+    ("sweep", t, qs) taking qs[k] times row t from row t + 1 + k, ("fold",
+    t, i) adding row i to row t, and ("flip", t, None) negating row t.
 
-
-def _smith_loop(d: list[list[int]], u: list[list[int]], vt: list[list[int]]) -> None:
-    """Reduce the rows ``d`` in place to Smith normal form; ``u`` and ``vt``
-    (V transposed) accumulate the operations.
-
-    At every round the pivot is re-chosen as the entry of minimal nonzero
-    absolute value in the trailing block (the first one in row-major order),
-    which guarantees termination (the pivot strictly shrinks until the cross
-    clears) and keeps coefficients small.  The sign of a negative pivot is
-    absorbed into V.
-    """
+    The pivot is the first entry of least nonzero absolute value in the
+    trailing block, re-chosen after every sweep: it shrinks strictly until
+    the cross clears.  A negative pivot's sign goes into V."""
     nr = len(d)
     nc = len(d[0]) if nr else 0
+    row_ops, col_ops = [], []
     for t in range(min(nr, nc)):
-        if not _move_min_to_pivot(d, t, u, vt):
+        if not _move_min_to_pivot(d, t, row_ops, col_ops):
             break
         top = d[t]
         while True:
-            # One reduction sweep of the pivot cross; remainders are at most
-            # half the pivot, and the next round promotes the smallest one.
-            # The row operations all read row t and the column operations
-            # column t, so each sweep's quotients can be taken up front.
-            piv = top[t]
-            rows = [(i, _div_nearest(d[i][t], piv)) for i in range(t + 1, nr) if d[i][t]]
-            for i, q in rows:
-                row = d[i]
-                row[t:] = [x - q * y for x, y in zip(row[t:], top[t:])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-            cols = [(j, _div_nearest(top[j], piv)) for j in range(t + 1, nc) if top[j]]
-            if cols:
-                for row in d[t:]:
-                    x = row[t]
-                    if x:
-                        for j, q in cols:
-                            row[j] -= q * x
-                for j, q in cols:
-                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
-            if any(d[i][t] for i in range(t + 1, nr)) or any(top[t + 1:]):
+            # A sweep of the pivot cross with nearest quotients, so that no
+            # remainder exceeds |piv|/2: row i loses q_i times the pivot row,
+            # then r_i (its new column-t entry) times the column quotients.
+            piv, tail = top[t], top[t + 1:]
+            bias, twice = piv - 1 if piv > 0 else piv + 1, 2 * piv
+            qc = [(2 * x + bias) // twice for x in tail]
+            qr, crossed = [], False
+            for row in d[t + 1:]:
+                x = row[t]
+                qr.append(q := (2 * x + bias) // twice)
+                if x:
+                    row[t] = r = x - q * piv
+                    row[t + 1:] = [y - q * z - r * c
+                                   for y, z, c in zip(row[t + 1:], tail, qc)]
+                    crossed = crossed or r != 0
+            top[t + 1:] = [x - q * piv for x, q in zip(tail, qc)]
+            if any(qr):
+                row_ops.append(("sweep", t, qr))
+            if any(qc):
+                col_ops.append(("sweep", t, qc))
+            if crossed or any(top[t + 1:]):
                 # The cross is not clear: promote the smallest remainder.
-                _move_min_to_pivot(d, t, u, vt)
+                _move_min_to_pivot(d, t, row_ops, col_ops)
                 top = d[t]
                 continue
             # Divisibility sweep: fold a non-divisible trailing entry into
@@ -225,14 +217,15 @@ def _smith_loop(d: list[list[int]], u: list[list[int]], vt: list[list[int]]) -> 
                         if any(map(piv.__rmod__, d[i][t + 1:]))), None)
             if bad is None:
                 break
-            top[t:] = [x + y for x, y in zip(top[t:], d[bad][t:])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            top[t + 1:] = d[bad][t + 1:]
+            row_ops.append(("fold", t, bad))
         if top[t] < 0:
             top[t] = -top[t]
-            vt[t] = [-x for x in vt[t]]
+            col_ops.append(("flip", t, None))
+    return row_ops, col_ops
 
 
-def _move_min_to_pivot(d, t, u, vt) -> bool:
+def _move_min_to_pivot(d, t, row_ops, col_ops) -> bool:
     # The first entry of least nonzero absolute value in row-major order.
     best = 0
     for k in range(t, len(d)):
@@ -246,12 +239,30 @@ def _move_min_to_pivot(d, t, u, vt) -> bool:
     j = t + list(map(abs, d[i][t:])).index(best)
     if i != t:
         d[t], d[i] = d[i], d[t]
-        u[t], u[i] = u[i], u[t]
+        row_ops.append(("swap", t, i))
     if j != t:
         for row in d[t:]:
             row[t], row[j] = row[j], row[t]
-        vt[t], vt[j] = vt[j], vt[t]
+        col_ops.append(("swap", t, j))
     return True
+
+
+def _replay(ops: list, n: int) -> list[list[int]]:
+    # E_k ... E_1 for the recorded E_1, ..., E_k, as A <- A E from A = I and
+    # the last operation back.  Before round t's, A is the identity outside
+    # its trailing block from t on, so a sweep changes column t alone.
+    a = [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+    for kind, t, arg in reversed(ops):
+        for row in a[t:]:
+            if kind == "sweep":
+                row[t] -= sum(map(mul, row[t + 1:], arg))
+            elif kind == "swap":
+                row[t], row[arg] = row[arg], row[t]
+            elif kind == "fold":
+                row[arg] += row[t]
+            else:
+                row[t] = -row[t]
+    return a
 
 
 # The most entries that smith_normal_form lists in U, D and V together.
@@ -265,10 +276,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     the divisibility chain d1 | d2 | ... .  The pivot is re-chosen each round
     as the smallest nonzero entry of the trailing block, and a negative
     pivot's sign is absorbed into V, so D's diagonal is the canonical one.
-    Callers that need only the diagonal use :func:`smith_diagonal`.  U, D and
-    V hold rows^2 + rows*cols + cols^2 entries whatever m's entries are, and
-    a call is refused with :class:`BudgetExceededError` when that exceeds
-    2^20, before any work.
+    U and V come from replaying the loop's record backwards.  Callers that
+    need only the diagonal use :func:`smith_diagonal`.  U, D and V hold
+    rows^2 + rows*cols + cols^2 entries whatever m's entries are, and a call
+    is refused with :class:`BudgetExceededError` when that exceeds 2^20,
+    before any work.
 
     >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
     >>> u, d, v = smith_normal_form(m)
@@ -282,13 +294,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         raise BudgetExceededError(f"U, D and V of a {nr}x{nc} matrix hold more than "
                                   f"{SNF_MAX_ENTRIES} entries")
     d = m.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
-    vt = IntMatrix.identity(nc).to_rows()
-    _smith_loop(d, u, vt)
+    row_ops, col_ops = _smith_loop(d)
     return (
-        IntMatrix.from_rows(u) if nr else IntMatrix.zero(0, 0),
+        IntMatrix.from_rows(_replay(row_ops, nr)) if nr else IntMatrix.zero(0, 0),
         IntMatrix.from_rows(d) if nr else IntMatrix.zero(0, nc),
-        IntMatrix.from_rows(vt).transpose() if nc else IntMatrix.zero(0, 0),
+        IntMatrix.from_rows(_replay(col_ops, nc)).transpose() if nc else IntMatrix.zero(0, 0),
     )
 
 

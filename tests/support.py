@@ -351,3 +351,87 @@ def blockwise_descriptor_sum(parts) -> GroupDescriptor:
         pruefer=pointwise_multiplicity_sum([g.pruefer for g in parts]),
         padic=padic,
     )
+
+
+# ---------------------------------------------------------------------------
+# The Smith normal form loop as it was before its transforms were replayed
+# from a record: row operations are repeated on U and column operations on V
+# (held transposed) as they happen, so U @ M @ V == D throughout.
+
+
+def _div_nearest(a: int, b: int) -> int:
+    # Quotient rounded to nearest, so |a - q*b| <= |b| / 2.
+    q, r = divmod(a, b)
+    if 2 * abs(r) > abs(b):
+        q += 1
+    return q
+
+
+def _forward_move_min_to_pivot(d, t, u, vt) -> bool:
+    # The first entry of least nonzero absolute value in row-major order.
+    best = 0
+    for k in range(t, len(d)):
+        least = min(map(abs, filter(None, d[k][t:])), default=0)
+        if least and (not best or least < best):
+            best, i = least, k
+            if best == 1:
+                break
+    if not best:
+        return False
+    j = t + list(map(abs, d[i][t:])).index(best)
+    if i != t:
+        d[t], d[i] = d[i], d[t]
+        u[t], u[i] = u[i], u[t]
+    if j != t:
+        for row in d[t:]:
+            row[t], row[j] = row[j], row[t]
+        vt[t], vt[j] = vt[j], vt[t]
+    return True
+
+
+def forward_smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(U, D, V) with U @ m @ V == D, accumulating U and V as the loop runs:
+    the reference that ``limext.smith_normal_form`` must equal entry for
+    entry."""
+    d = m.to_rows()
+    u = IntMatrix.identity(m.rows).to_rows()
+    vt = IntMatrix.identity(m.cols).to_rows()
+    nr, nc = m.rows, m.cols
+    for t in range(min(nr, nc)):
+        if not _forward_move_min_to_pivot(d, t, u, vt):
+            break
+        top = d[t]
+        while True:
+            piv = top[t]
+            rows = [(i, _div_nearest(d[i][t], piv)) for i in range(t + 1, nr) if d[i][t]]
+            for i, q in rows:
+                row = d[i]
+                row[t:] = [x - q * y for x, y in zip(row[t:], top[t:])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            cols = [(j, _div_nearest(top[j], piv)) for j in range(t + 1, nc) if top[j]]
+            if cols:
+                for row in d[t:]:
+                    x = row[t]
+                    if x:
+                        for j, q in cols:
+                            row[j] -= q * x
+                for j, q in cols:
+                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+            if any(d[i][t] for i in range(t + 1, nr)) or any(top[t + 1:]):
+                _forward_move_min_to_pivot(d, t, u, vt)
+                top = d[t]
+                continue
+            bad = next((i for i in range(t + 1, nr)
+                        if any(map(piv.__rmod__, d[i][t + 1:]))), None)
+            if bad is None:
+                break
+            top[t:] = [x + y for x, y in zip(top[t:], d[bad][t:])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+        if top[t] < 0:
+            top[t] = -top[t]
+            vt[t] = [-x for x in vt[t]]
+    return (
+        IntMatrix.from_rows(u) if nr else IntMatrix.zero(0, 0),
+        IntMatrix.from_rows(d) if nr else IntMatrix.zero(0, nc),
+        IntMatrix.from_rows(vt).transpose() if nc else IntMatrix.zero(0, 0),
+    )

@@ -417,6 +417,28 @@ def test_listings_past_the_budget_are_refused_at_once(capsys, cmd, payload):
     assert code == 1 and data["error"]["code"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("group, j, status", [
+    ({"cyclic": ["125"]}, "100000000", 0),
+    ({"cyclic": ["125"]}, "9" * 4300, 0),
+    ({"free_rank": "1", "cyclic": ["125"]}, "9" * 4300, 1),
+    ({"pruefer": {"default": 0, "exceptions": {"5": 1}}}, "9" * 4300, 1),
+])
+def test_descriptor_finite_coefficients_with_a_huge_j(capsys, group, j, status):
+    # Cyclic orders alone list gcds with p^j, so C125 | C125 for any j >= 3;
+    # a free copy or a Pruefer copy at p lists p^j itself, refused past 2^16
+    # bits before it is formed.
+    start = time.monotonic()
+    code, data = run_json(capsys, "descriptor", json.dumps({
+        "op": "finite-coefficients", "group": group, "p": "5", "j": j}))
+    assert time.monotonic() - start < 1
+    assert code == status
+    if status:
+        assert data["error"]["code"] == "budget-exceeded"
+    else:
+        assert data["quotient"]["invariant_factors"] == ["125"]
+        assert data["torsion"]["invariant_factors"] == ["125"]
+
+
 def test_group_presentation_op(capsys):
     code, data = run_json(capsys, "group", json.dumps({
         "op": "presentation",
@@ -792,8 +814,7 @@ def test_run_returns_what_main_writes(capsys):
     # text that is not a payload, and it never raises.  Mutations with a
     # digit string at the limit are left out: in lim1, ext-rank1 and
     # extension-classes they factor a 4,300-digit integer (11.5 s in lim1),
-    # and descriptor finite-coefficients with such a j forms p ** j; no
-    # budget bounds either yet (ROADMAP item 6).
+    # and no budget bounds that yet (ROADMAP item 6).
     requests = [(cmd, json.dumps(instance)) for cmd, payload in _literal_payloads()
                 for instance in [payload, *_mutations(payload)]
                 if not _contains(instance, "9" * 4300)]

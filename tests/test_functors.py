@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from limext import (
 )
 from limext.descriptors import CONTINUUM, PrimeMultiplicity
 from limext.errors import BudgetExceededError
+from limext.fg_groups import direct_sum, finite_coefficients
 from limext.functors import _count_dominated_partitions, _dominated_partitions
 from support import (
     ExplicitCyclic,
@@ -183,6 +185,51 @@ def test_finite_coefficients_descriptor_refuses_listings_past_the_budget():
     # Pruefer copies away from p list nothing.
     q, t = finite_coefficients_descriptor(descriptor(0, 2 ** 61 - 1), 3)
     assert q.is_trivial() and t.is_trivial()
+
+
+def _coefficients_with_p_to_the_j(g, p, j):
+    # finite_coefficients_descriptor as it formed p ** j for every j.
+    separated = g.free_rank + g.local_count(p) + g.padic_count(p)
+    separated += sum(c for s, c in g.inverted if p not in s)
+    quotient, torsion = finite_coefficients(GroupStructure(separated, g.cyclic), p ** j)
+    pruefer = GroupStructure.from_factors([p ** j] * g.pruefer.at(p).value)
+    return quotient, direct_sum(torsion, pruefer)
+
+
+def test_finite_coefficients_descriptor_matches_p_to_the_j():
+    # p^min(j, e) for the largest exponent e of p in the cyclic orders where
+    # no block lists p^j itself, p^j where one does: the same pairs for
+    # j = 1..6, and past every e.
+    rng = random.Random(1227)
+    capped = 0
+    for _ in range(300):
+        g = random_descriptor(rng, max_blocks=4)
+        g += GroupDescriptor.cyclic_group(rng.choice((2, 3, 5)) ** rng.randint(1, 5))
+        p = rng.choice(FUNCTOR_PRIMES)
+        capped += not (g.free_rank or g.local_count(p) or g.padic_count(p)
+                       or any(p not in s for s, _ in g.inverted) or g.pruefer.at(p).value)
+        for j in (1, 2, 3, 4, 5, 6, 40):
+            assert finite_coefficients_descriptor(g, p, j) == _coefficients_with_p_to_the_j(g, p, j)
+    assert capped > 50
+
+
+def test_finite_coefficients_descriptor_bounds_a_huge_j():
+    # Cyclic orders alone never list p^j, so j past their exponents is cheap;
+    # a listed p^j of over 2^16 bits is refused before it is formed.
+    start = time.monotonic()
+    q, t = finite_coefficients_descriptor(GroupDescriptor.cyclic_group(125), 5, 10 ** 8)
+    assert str(q) == str(t) == "C125"
+    q, t = finite_coefficients_descriptor(GroupDescriptor.cyclic_group(12), 5, 10 ** 4300 - 1)
+    assert q.is_trivial() and t.is_trivial()
+    for g in (GroupDescriptor.free(), GroupDescriptor.pruefer_group(5), GroupDescriptor.localized(5)):
+        with pytest.raises(BudgetExceededError):
+            finite_coefficients_descriptor(g, 5, 10 ** 4300 - 1)
+        with pytest.raises(BudgetExceededError):
+            finite_coefficients_descriptor(g + GroupDescriptor.cyclic_group(5), 5, 2 ** 16 // 3 + 1)
+    assert time.monotonic() - start < 1
+    # 5 has 3 bits: j * 3 <= 2^16 is still listed.
+    q, _ = finite_coefficients_descriptor(GroupDescriptor.free(), 5, 2 ** 16 // 3)
+    assert q.invariant_factors == (5 ** (2 ** 16 // 3),)
 
 
 def test_lim1_landmark_values():

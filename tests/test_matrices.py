@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
 
@@ -15,8 +16,13 @@ from limext import (
     smith_normal_form,
 )
 from limext.errors import BudgetExceededError
-from limext.matrices import _bareiss, _xgcd, smith_diagonal
-from support import random_matrix, random_unimodular, random_unimodular_with_inverse
+from limext.matrices import _bareiss, _smith_loop, _xgcd, smith_diagonal
+from support import (
+    forward_smith_normal_form,
+    random_matrix,
+    random_unimodular,
+    random_unimodular_with_inverse,
+)
 
 entries_st = st.integers(min_value=-50, max_value=50)
 
@@ -371,6 +377,84 @@ def test_bareiss_returns_two_minors():
         assert before != 0 and abs(before) in minors(max(rank - 1, 0))
         if rank:
             assert abs(last) in minors(rank)
+
+
+def _with_zero_lines(rng, m):
+    # m with some of its rows and some of its columns set to zero.
+    zero_rows = {i for i in range(m.rows) if rng.random() < 0.3}
+    zero_cols = {j for j in range(m.cols) if rng.random() < 0.3}
+    return IntMatrix.from_rows(
+        [[0 if i in zero_rows or j in zero_cols else m.at(i, j) for j in range(m.cols)]
+         for i in range(m.rows)]) if m.rows else m
+
+
+def test_smith_normal_form_matches_the_forward_loop():
+    # U, D and V entry for entry against the loop that accumulated U and V
+    # as it went: 0..8 x 0..8 with entries in +-9 and +-10^6, low rank, and
+    # with zero rows and columns; then dense ones up to 40 x 40.
+    rng = random.Random(2027)
+    seen = Counter()
+    for k in range(2400):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        if k % 4 == 2:
+            m = _low_rank_matrix(rng, rows, cols)
+        else:
+            m = random_matrix(rng, rows, cols, bound=10 ** 6 if k % 4 == 1 else 9)
+            if k % 4 == 3:
+                m = _with_zero_lines(rng, m)
+        rank = m.rank()
+        seen["empty"] += not (rows and cols)
+        seen["rectangular"] += rows != cols
+        seen["singular"] += 0 < rank < min(rows, cols)
+        seen["zero row"] += any(not any(row) for row in m.to_rows()) and cols > 0
+        seen["zero column"] += any(not any(row) for row in m.transpose().to_rows()) and rows > 0
+        seen["entries past 10^5"] += any(abs(x) > 10 ** 5 for x in m.entries)
+        assert smith_normal_form(m) == forward_smith_normal_form(m), m
+    assert min(seen.values()) >= 200, seen
+    for rows, cols in ((10, 10), (17, 23), (24, 24), (31, 28), (36, 40), (40, 40)):
+        m = random_matrix(rng, rows, cols, bound=9)
+        assert smith_normal_form(m) == forward_smith_normal_form(m)
+
+
+def test_smith_normal_form_records_every_kind_of_operation():
+    # Row and column swaps, row and column sweeps, folds of a non-divisible
+    # entry into the pivot row and sign flips each at least 20 times, and
+    # the replayed transforms equal to the forward loop's on the same set.
+    rng = random.Random(27)
+    hits = Counter()
+    for k in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if k % 2:
+            m = random_matrix(rng, rows, cols, bound=9)
+        else:
+            diagonal = [rng.choice((2, 3, 4, 5, 6, 9, 10)) for _ in range(min(rows, cols))]
+            m = _known_chain_matrix(rng, rows, cols, diagonal)
+        row_ops, col_ops = _smith_loop(m.to_rows())
+        hits.update("row " + op[0] for op in row_ops)
+        hits.update("column " + op[0] for op in col_ops)
+        assert smith_normal_form(m) == forward_smith_normal_form(m)
+    kinds = ("row swap", "column swap", "row sweep", "column sweep", "row fold", "column flip")
+    assert set(hits) == set(kinds) and min(hits.values()) >= 20, hits
+
+
+def test_smith_normal_form_matches_sympy():
+    # D has sympy's diagonal up to sign, U @ m @ V == D, and det U, det V
+    # are +-1, on known chains, low-rank and +-9 matrices.
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    rng = random.Random(1979)
+    for k in range(200):
+        n = rng.randint(1, 10)
+        if k % 3 == 0:
+            m = _known_chain_matrix(rng, n, n, _random_chain(rng, n, k // 3 % 4))
+        else:
+            m = _low_rank_matrix(rng, n, n) if k % 3 == 1 else random_matrix(rng, n, n, bound=9)
+        u, d, v = smith_normal_form(m)
+        ref = normalforms.smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
+        assert d == IntMatrix.diagonal([abs(int(ref[i, i])) for i in range(n)])
+        assert u @ m @ v == d
+        assert abs(u.determinant()) == 1 and abs(v.determinant()) == 1
 
 
 def test_smith_normal_form_refuses_transforms_past_the_budget():
